@@ -63,7 +63,9 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
+use fcc_analysis::{AnalysisCounters, AnalysisManager, ExtensionAnalysis, HitMiss};
 use fcc_dataflow::{FunctionAnalysis, Interval, Lattice};
 use fcc_ir::{Block, Diagnostic, Function, InstKind, Value};
 
@@ -236,9 +238,30 @@ pub struct MemorySolution {
 }
 
 impl MemorySolution {
+    /// The solution for `func`'s current epoch, from `am`'s cache or
+    /// solved (over the cached [`FunctionAnalysis`]) on a miss.
+    pub fn cached(func: &Function, am: &mut AnalysisManager) -> Rc<MemorySolution> {
+        am.extension::<MemorySolution>(func)
+    }
+
     /// The abstract memory on entry to `b` (⊥ for unreachable blocks).
     pub fn entry(&self, b: Block) -> &MemoryState {
         &self.entry[b.index()]
+    }
+}
+
+impl ExtensionAnalysis for MemorySolution {
+    fn counter(counters: &mut AnalysisCounters) -> &mut HitMiss {
+        &mut counters.memory
+    }
+    fn compute(func: &Function, am: &mut AnalysisManager) -> Self {
+        let fa = FunctionAnalysis::cached(func, am);
+        solve_memory(func, &fa)
+    }
+    fn bytes(&self) -> usize {
+        let facts: usize = self.entry.iter().map(|s| s.facts().len()).sum();
+        self.entry.len() * std::mem::size_of::<MemoryState>()
+            + facts * std::mem::size_of::<(i64, Value)>()
     }
 }
 

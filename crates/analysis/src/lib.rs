@@ -66,6 +66,8 @@ pub use domtree::{DomTree, DominanceFrontiers};
 pub use fuel::{Deadline, DeadlineExceeded, Fuel, FuelExhausted};
 pub use liveness::Liveness;
 pub use loops::LoopNesting;
-pub use manager::{AnalysisCounters, AnalysisManager, HitMiss, PreservedAnalyses};
+pub use manager::{
+    AnalysisCounters, AnalysisManager, ExtensionAnalysis, HitMiss, PreservedAnalyses,
+};
 pub use pressure::Pressure;
 pub use unionfind::UnionFind;

@@ -16,12 +16,23 @@
 //! is recomputed. [`AnalysisManager::invalidate`] re-stamps the
 //! preserved entries to the post-pass epoch and drops the rest.
 //!
+//! Analyses defined in crates above this one — the `fcc-dataflow`
+//! fixpoint and the `fcc-alias` memory solution — live in a type-erased
+//! **extension slot** keyed by [`TypeId`]: a type implements
+//! [`ExtensionAnalysis`] and is fetched with
+//! [`AnalysisManager::extension`]. Extension entries follow the same
+//! epoch stamping and anti-laundering re-stamp as the built-in slots,
+//! but only a pass that changed nothing ([`PreservedAnalyses::all`])
+//! carries them forward; any change, and [`AnalysisManager::clear`],
+//! drops them.
+//!
 //! Analyses are handed out as `Rc<T>` so a caller can hold several at
 //! once (and keep them across further `&mut` manager calls) without
 //! fighting the borrow checker; hit/miss counters and a peak-bytes
 //! high-water mark make cache behaviour observable per phase (see
 //! `fcc_bench::PipelineReport`).
 
+use std::any::{Any, TypeId};
 use std::rc::Rc;
 
 use fcc_ir::{ControlFlowGraph, Function};
@@ -44,6 +55,7 @@ impl PreservedAnalyses {
     const LIVENESS_SSA: u8 = 1 << 3;
     const LOOPS: u8 = 1 << 4;
     const PRESSURE: u8 = 1 << 5;
+    const EXTENSIONS: u8 = 1 << 6;
 
     /// Nothing survives: the pass restructured control flow.
     pub const fn none() -> Self {
@@ -58,14 +70,15 @@ impl PreservedAnalyses {
                 | Self::LIVENESS
                 | Self::LIVENESS_SSA
                 | Self::LOOPS
-                | Self::PRESSURE,
+                | Self::PRESSURE
+                | Self::EXTENSIONS,
         }
     }
 
     /// The pass rewrote instructions but kept every block and edge: the
     /// CFG-derived structures (CFG, dominator tree, loop nesting) stand,
     /// while both liveness variants — and pressure, which derives from
-    /// liveness — are dropped.
+    /// liveness — are dropped, as are the extension analyses.
     pub const fn cfg_core() -> Self {
         PreservedAnalyses {
             bits: Self::CFG | Self::DOMTREE | Self::LOOPS,
@@ -119,6 +132,10 @@ pub struct AnalysisCounters {
     pub liveness_ssa: HitMiss,
     pub loops: HitMiss,
     pub pressure: HitMiss,
+    /// The `fcc-dataflow` fixpoint (SCCP + intervals + known bits).
+    pub dataflow: HitMiss,
+    /// The `fcc-alias` memory-state solution.
+    pub memory: HitMiss,
 }
 
 impl AnalysisCounters {
@@ -130,6 +147,8 @@ impl AnalysisCounters {
             + self.liveness_ssa.hits
             + self.loops.hits
             + self.pressure.hits
+            + self.dataflow.hits
+            + self.memory.hits
     }
 
     /// Total cache misses (= full recomputations) across all kinds.
@@ -140,10 +159,12 @@ impl AnalysisCounters {
             + self.liveness_ssa.misses
             + self.loops.misses
             + self.pressure.misses
+            + self.dataflow.misses
+            + self.memory.misses
     }
 
     /// `(label, hits, misses)` per analysis kind, for table printers.
-    pub fn rows(&self) -> [(&'static str, u64, u64); 6] {
+    pub fn rows(&self) -> [(&'static str, u64, u64); 8] {
         [
             ("cfg", self.cfg.hits, self.cfg.misses),
             ("domtree", self.domtree.hits, self.domtree.misses),
@@ -151,6 +172,8 @@ impl AnalysisCounters {
             ("live-ssa", self.liveness_ssa.hits, self.liveness_ssa.misses),
             ("loops", self.loops.hits, self.loops.misses),
             ("pressure", self.pressure.hits, self.pressure.misses),
+            ("dataflow", self.dataflow.hits, self.dataflow.misses),
+            ("memory", self.memory.hits, self.memory.misses),
         ]
     }
 }
@@ -165,6 +188,8 @@ impl std::ops::Sub for AnalysisCounters {
             liveness_ssa: self.liveness_ssa - rhs.liveness_ssa,
             loops: self.loops - rhs.loops,
             pressure: self.pressure - rhs.pressure,
+            dataflow: self.dataflow - rhs.dataflow,
+            memory: self.memory - rhs.memory,
         }
     }
 }
@@ -177,33 +202,37 @@ impl std::ops::AddAssign for AnalysisCounters {
         self.liveness_ssa += rhs.liveness_ssa;
         self.loops += rhs.loops;
         self.pressure += rhs.pressure;
+        self.dataflow += rhs.dataflow;
+        self.memory += rhs.memory;
     }
 }
 
 /// One cached analysis: the epoch it was computed (or re-stamped) at,
 /// plus the shared result.
-struct Slot<T> {
+struct Slot<T: ?Sized> {
     entry: Option<(u64, Rc<T>)>,
 }
 
-impl<T> Default for Slot<T> {
+impl<T: ?Sized> Default for Slot<T> {
     fn default() -> Self {
         Slot { entry: None }
     }
 }
 
 impl<T> Slot<T> {
+    fn put(&mut self, epoch: u64, value: T) -> Rc<T> {
+        let rc = Rc::new(value);
+        self.entry = Some((epoch, Rc::clone(&rc)));
+        rc
+    }
+}
+
+impl<T: ?Sized> Slot<T> {
     fn get(&self, epoch: u64) -> Option<Rc<T>> {
         match &self.entry {
             Some((e, rc)) if *e == epoch => Some(Rc::clone(rc)),
             _ => None,
         }
-    }
-
-    fn put(&mut self, epoch: u64, value: T) -> Rc<T> {
-        let rc = Rc::new(value);
-        self.entry = Some((epoch, Rc::clone(&rc)));
-        rc
     }
 
     /// Keep the entry but declare it valid for `epoch` too (the pass
@@ -228,6 +257,33 @@ impl<T> Slot<T> {
     }
 }
 
+/// An analysis defined outside this crate, cached in the manager's
+/// extension slot under its [`TypeId`].
+///
+/// `fcc-analysis` sits below the crates that define these analyses, so
+/// the manager cannot name them; the trait supplies what the built-in
+/// slots hard-code: how to compute the result, which counter row its
+/// hits and misses land in, and its footprint for the peak-bytes mark.
+pub trait ExtensionAnalysis: Any {
+    /// The counter row for this analysis's hits and misses.
+    fn counter(counters: &mut AnalysisCounters) -> &mut HitMiss;
+
+    /// Compute from scratch. May pull other analyses from `am`,
+    /// extensions included.
+    fn compute(func: &Function, am: &mut AnalysisManager) -> Self;
+
+    /// Heap footprint in bytes.
+    fn bytes(&self) -> usize;
+}
+
+/// One extension entry: the type-erased slot plus the footprint recorded
+/// when it was filled (entries are immutable behind their `Rc`).
+struct ExtSlot {
+    id: TypeId,
+    slot: Slot<dyn Any>,
+    bytes: usize,
+}
+
 /// Lazily computes and caches the standard function analyses, keyed on
 /// [`Function::epoch`].
 ///
@@ -242,6 +298,7 @@ pub struct AnalysisManager {
     liveness_ssa: Slot<Liveness>,
     loops: Slot<LoopNesting>,
     pressure: Slot<Pressure>,
+    extensions: Vec<ExtSlot>,
     counters: AnalysisCounters,
     peak_bytes: usize,
 }
@@ -345,6 +402,35 @@ impl AnalysisManager {
         rc
     }
 
+    /// The extension analysis `T` (see [`ExtensionAnalysis`]), computed
+    /// on a miss and cached for `func`'s current epoch.
+    pub fn extension<T: ExtensionAnalysis>(&mut self, func: &Function) -> Rc<T> {
+        if let Some(hit) = self.cached_extension::<T>(func) {
+            T::counter(&mut self.counters).hits += 1;
+            return hit;
+        }
+        let value = T::compute(func, self);
+        T::counter(&mut self.counters).misses += 1;
+        let bytes = value.bytes();
+        let rc = Rc::new(value);
+        let erased: Rc<dyn Any> = rc.clone();
+        let entry = Some((func.epoch(), erased));
+        let id = TypeId::of::<T>();
+        match self.extensions.iter_mut().find(|e| e.id == id) {
+            Some(e) => {
+                e.slot.entry = entry;
+                e.bytes = bytes;
+            }
+            None => self.extensions.push(ExtSlot {
+                id,
+                slot: Slot { entry },
+                bytes,
+            }),
+        }
+        self.note_bytes();
+        rc
+    }
+
     /// Apply a pass's preservation promise after it mutated `func`:
     /// preserved analyses are re-stamped to the new epoch, the rest are
     /// dropped. Call with the *post-pass* function; `valid_at` is the
@@ -385,6 +471,13 @@ impl AnalysisManager {
         } else {
             self.pressure.clear();
         }
+        for e in &mut self.extensions {
+            if preserved.has(PreservedAnalyses::EXTENSIONS) {
+                e.slot.restamp(valid_at, epoch);
+            } else {
+                e.slot.clear();
+            }
+        }
     }
 
     /// Drop every cached analysis (counters and peak survive).
@@ -395,6 +488,9 @@ impl AnalysisManager {
         self.liveness_ssa.clear();
         self.loops.clear();
         self.pressure.clear();
+        for e in &mut self.extensions {
+            e.slot.clear();
+        }
     }
 
     /// Cumulative hit/miss counters.
@@ -427,6 +523,11 @@ impl AnalysisManager {
         }
         if let Some((_, p)) = &self.pressure.entry {
             total += p.bytes();
+        }
+        for e in &self.extensions {
+            if e.slot.entry.is_some() {
+                total += e.bytes;
+            }
         }
         total
     }
@@ -461,6 +562,18 @@ impl AnalysisManager {
     /// The cached pressure, if valid for `func`'s current epoch.
     pub fn cached_pressure(&self, func: &Function) -> Option<Rc<Pressure>> {
         self.pressure.get(func.epoch())
+    }
+
+    /// The cached extension analysis `T`, if valid for `func`'s current
+    /// epoch.
+    pub fn cached_extension<T: ExtensionAnalysis>(&self, func: &Function) -> Option<Rc<T>> {
+        let id = TypeId::of::<T>();
+        let e = self.extensions.iter().find(|e| e.id == id)?;
+        let rc = e.slot.get(func.epoch())?;
+        Some(
+            rc.downcast::<T>()
+                .expect("extension entries are keyed by TypeId"),
+        )
     }
 
     fn note_bytes(&mut self) {
@@ -608,5 +721,110 @@ mod tests {
         assert!(am.cached_cfg(&g).is_none());
         am.cfg(&g);
         assert_eq!(am.counters().cfg, HitMiss { hits: 0, misses: 2 });
+    }
+
+    /// A stand-in extension: the block count, plus a second extension
+    /// that depends on it (the shape of `MemorySolution` over
+    /// `FunctionAnalysis`).
+    struct BlockCount(usize);
+    impl ExtensionAnalysis for BlockCount {
+        fn counter(c: &mut AnalysisCounters) -> &mut HitMiss {
+            &mut c.dataflow
+        }
+        fn compute(func: &Function, am: &mut AnalysisManager) -> Self {
+            BlockCount(am.cfg(func).postorder().len())
+        }
+        fn bytes(&self) -> usize {
+            std::mem::size_of::<Self>()
+        }
+    }
+
+    struct DoubledBlocks(usize);
+    impl ExtensionAnalysis for DoubledBlocks {
+        fn counter(c: &mut AnalysisCounters) -> &mut HitMiss {
+            &mut c.memory
+        }
+        fn compute(func: &Function, am: &mut AnalysisManager) -> Self {
+            DoubledBlocks(2 * am.extension::<BlockCount>(func).0)
+        }
+        fn bytes(&self) -> usize {
+            std::mem::size_of::<Self>()
+        }
+    }
+
+    #[test]
+    fn extension_hits_and_counts_its_own_row() {
+        let f = diamond();
+        let mut am = AnalysisManager::new();
+        let a = am.extension::<BlockCount>(&f);
+        let b = am.extension::<BlockCount>(&f);
+        assert!(Rc::ptr_eq(&a, &b));
+        assert_eq!(a.0, 4);
+        assert_eq!(am.counters().dataflow, HitMiss { hits: 1, misses: 1 });
+        // A dependent extension pulls the cached one through the manager.
+        assert_eq!(am.extension::<DoubledBlocks>(&f).0, 8);
+        assert_eq!(am.counters().dataflow, HitMiss { hits: 2, misses: 1 });
+        assert_eq!(am.counters().memory, HitMiss { hits: 0, misses: 1 });
+        assert!(am.current_bytes() >= 2 * std::mem::size_of::<usize>());
+    }
+
+    #[test]
+    fn extension_survives_a_no_change_pass() {
+        let mut f = diamond();
+        let mut am = AnalysisManager::new();
+        let a = am.extension::<BlockCount>(&f);
+        let before = f.epoch();
+        f.bump_epoch(); // a pass that bumped conservatively, changing nothing
+        am.invalidate(&f, before, PreservedAnalyses::all());
+        let b = am
+            .cached_extension::<BlockCount>(&f)
+            .expect("carried forward");
+        assert!(Rc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn extension_dropped_after_a_cfg_core_change() {
+        let mut f = diamond();
+        let mut am = AnalysisManager::new();
+        am.extension::<BlockCount>(&f);
+        am.domtree(&f);
+        let before = f.epoch();
+        let v = f.new_value();
+        f.insert_before_terminator(f.entry(), InstKind::Const { imm: 7 }, Some(v));
+        am.invalidate(&f, before, PreservedAnalyses::cfg_core());
+        // The CFG-derived slots survive an instruction rewrite; the
+        // extension (a fact about the instructions) does not.
+        assert!(am.cached_domtree(&f).is_some());
+        assert!(am.cached_extension::<BlockCount>(&f).is_none());
+        am.extension::<BlockCount>(&f);
+        assert_eq!(am.counters().dataflow.misses, 2);
+    }
+
+    #[test]
+    fn extension_never_carried_forward_from_a_stale_epoch() {
+        let mut f = diamond();
+        let mut am = AnalysisManager::new();
+        am.extension::<BlockCount>(&f); // stamped at E0
+        let v = f.new_value();
+        f.insert_before_terminator(f.entry(), InstKind::Const { imm: 7 }, Some(v)); // E1
+        let before = f.epoch();
+        f.bump_epoch();
+        am.invalidate(&f, before, PreservedAnalyses::all());
+        assert!(
+            am.cached_extension::<BlockCount>(&f).is_none(),
+            "stale extension was laundered"
+        );
+    }
+
+    #[test]
+    fn clear_empties_the_extension_slot() {
+        let f = diamond();
+        let mut am = AnalysisManager::new();
+        am.extension::<BlockCount>(&f);
+        am.extension::<DoubledBlocks>(&f);
+        am.clear();
+        assert!(am.cached_extension::<BlockCount>(&f).is_none());
+        assert!(am.cached_extension::<DoubledBlocks>(&f).is_none());
+        assert_eq!(am.current_bytes(), 0);
     }
 }

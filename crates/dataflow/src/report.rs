@@ -6,8 +6,15 @@
 //! intersection of the three solutions — each is a sound
 //! over-approximation, so their intersection is too), and the safety
 //! report behind `fcc analyze` and the `range-*` lint rules.
+//!
+//! The fixpoint is cached per `(function, epoch)` in the
+//! [`AnalysisManager`]'s extension slot: [`FunctionAnalysis::cached`]
+//! is what the optimiser, the lint rules, and `fcc analyze` read, so a
+//! run of passes that change nothing solves the dataflow once.
 
-use fcc_analysis::AnalysisManager;
+use std::rc::Rc;
+
+use fcc_analysis::{AnalysisCounters, AnalysisManager, ExtensionAnalysis, HitMiss};
 use fcc_ir::diagnostic::json_escape;
 use fcc_ir::instr::BinOp;
 use fcc_ir::{Block, Diagnostic, Function, InstKind, Value};
@@ -15,7 +22,7 @@ use fcc_ir::{Block, Diagnostic, Function, InstKind, Value};
 use crate::bits::{BitsAnalysis, KnownBits};
 use crate::consts::{ConstAnalysis, ConstLattice};
 use crate::interval::{Interval, RangeAnalysis};
-use crate::solver::{solve, Solution};
+use crate::solver::{solve_with, Solution, SolverInputs};
 
 /// A `div`/`rem` whose divisor is provably zero (the IR's total
 /// division makes the result 0, but the source almost surely did not
@@ -39,13 +46,35 @@ pub struct FunctionAnalysis {
     pub bits: Solution<KnownBits>,
 }
 
+impl ExtensionAnalysis for FunctionAnalysis {
+    fn counter(counters: &mut AnalysisCounters) -> &mut HitMiss {
+        &mut counters.dataflow
+    }
+    fn compute(func: &Function, am: &mut AnalysisManager) -> Self {
+        FunctionAnalysis::compute(func, am)
+    }
+    fn bytes(&self) -> usize {
+        self.consts.bytes() + self.ranges.bytes() + self.bits.bytes()
+    }
+}
+
 impl FunctionAnalysis {
-    /// Run all three analyses over a strict-SSA `func`.
+    /// The fixpoint for `func`'s current epoch, from `am`'s cache or
+    /// computed and cached on a miss.
+    pub fn cached(func: &Function, am: &mut AnalysisManager) -> Rc<FunctionAnalysis> {
+        am.extension::<FunctionAnalysis>(func)
+    }
+
+    /// Run all three analyses over a strict-SSA `func`, bypassing the
+    /// cache (the reference the cached copy is tested against). The
+    /// lattice-independent solver inputs are harvested once and shared
+    /// by the three solves.
     pub fn compute(func: &Function, am: &mut AnalysisManager) -> FunctionAnalysis {
+        let inputs = SolverInputs::harvest(func, am);
         FunctionAnalysis {
-            consts: solve(func, am, &ConstAnalysis),
-            ranges: solve(func, am, &RangeAnalysis),
-            bits: solve(func, am, &BitsAnalysis),
+            consts: solve_with(func, &inputs, &ConstAnalysis),
+            ranges: solve_with(func, &inputs, &RangeAnalysis),
+            bits: solve_with(func, &inputs, &BitsAnalysis),
         }
     }
 

@@ -16,8 +16,6 @@
 //! itself for φ arguments, and over the whole dominated region when the
 //! edge is the target's sole entry.
 
-use std::collections::{HashMap, HashSet};
-
 use fcc_analysis::AnalysisManager;
 use fcc_ir::instr::BinOp;
 use fcc_ir::{Block, Function, Inst, InstKind, Value};
@@ -75,7 +73,7 @@ pub trait Transfer {
 pub struct Solution<F> {
     facts: Vec<F>,
     exec_block: Vec<bool>,
-    exec_edge: HashSet<(u32, u32)>,
+    exec_edge: ExecEdges,
     /// Work items processed before the fixpoint (a cost/diagnostic
     /// figure; bounded by the saturation cap).
     pub steps: usize,
@@ -94,13 +92,52 @@ impl<F: Lattice> Solution<F> {
 
     /// Whether any execution can traverse the CFG edge `from → to`.
     pub fn edge_executable(&self, from: Block, to: Block) -> bool {
-        self.exec_edge
-            .contains(&(from.index() as u32, to.index() as u32))
+        self.exec_edge.contains(from, to)
     }
 
     /// Number of blocks proven reachable.
     pub fn executable_blocks(&self) -> usize {
         self.exec_block.iter().filter(|&&x| x).count()
+    }
+
+    /// Heap footprint in bytes (facts, block flags, live edges).
+    pub fn bytes(&self) -> usize {
+        self.facts.len() * std::mem::size_of::<F>()
+            + self.exec_block.len()
+            + self.exec_edge.0.len() * std::mem::size_of::<[u32; 2]>()
+    }
+}
+
+/// Executable CFG edges, by source block. A block ends in a jump, a
+/// two-way branch, or a return, so it has at most two targets.
+struct ExecEdges(Vec<[u32; 2]>);
+
+const NO_EDGE: u32 = u32::MAX;
+
+impl ExecEdges {
+    fn new(blocks: usize) -> ExecEdges {
+        ExecEdges(vec![[NO_EDGE; 2]; blocks])
+    }
+
+    fn contains(&self, from: Block, to: Block) -> bool {
+        self.0
+            .get(from.index())
+            .is_some_and(|t| t.contains(&(to.index() as u32)))
+    }
+
+    /// Mark `from → to`; returns whether it was new.
+    fn insert(&mut self, from: Block, to: Block) -> bool {
+        let to = to.index() as u32;
+        let slots = &mut self.0[from.index()];
+        if slots.contains(&to) {
+            return false;
+        }
+        let free = slots
+            .iter()
+            .position(|&t| t == NO_EDGE)
+            .expect("a block has at most two successors");
+        slots[free] = to;
+        true
     }
 }
 
@@ -135,25 +172,149 @@ fn is_comparison(op: BinOp) -> bool {
 const WIDEN_AT_HEADER: u16 = 3;
 const WIDEN_ANYWHERE: u16 = 16;
 
+/// The lattice-independent inputs of the solver: def–use lists, the
+/// instruction → block map, the branch-refinement tables, loop headers,
+/// and the dominator tree. They depend only on the instructions and the
+/// CFG shape, so one harvest serves every analysis run over the same
+/// function state — [`crate::FunctionAnalysis`] runs its three lattices
+/// over a single harvest.
+pub(crate) struct SolverInputs {
+    dt: std::rc::Rc<fcc_analysis::DomTree>,
+    uses: Vec<Vec<Inst>>,
+    /// Owning block per instruction index (`None` for removed ones).
+    inst_block: Vec<Option<Block>>,
+    /// Constraints per refined value, each valid in the region
+    /// dominated by its root block.
+    region_refs: Vec<Vec<(Block, RefTerm)>>,
+    /// Constraints applying to φ arguments along one CFG edge, by
+    /// source block, then target.
+    edge_refs: Vec<Vec<(Block, Vec<RefTerm>)>>,
+    /// `other → refined values`: when `other`'s fact rises, every use of
+    /// the refined value must be revisited.
+    refine_deps: Vec<Vec<Value>>,
+    is_header: Vec<bool>,
+}
+
+impl SolverInputs {
+    /// Collect the inputs for the strict-SSA `func`, pulling the CFG,
+    /// dominator tree, and loop nesting from `am`.
+    pub(crate) fn harvest(func: &Function, am: &mut AnalysisManager) -> SolverInputs {
+        let cfg = am.cfg(func);
+        let dt = am.domtree(func);
+        let loops = am.loops(func);
+
+        let nv = func.num_values();
+        let mut uses: Vec<Vec<Inst>> = vec![Vec::new(); nv];
+        let mut inst_block = vec![None; func.num_insts()];
+        let mut def_of: Vec<Option<Inst>> = vec![None; nv];
+        for b in func.blocks() {
+            for &i in func.block_insts(b) {
+                let data = func.inst(i);
+                inst_block[i.index()] = Some(b);
+                if let Some(d) = data.dst {
+                    def_of[d.index()] = Some(i);
+                }
+                data.kind.for_each_use(|v| uses[v.index()].push(i));
+                if let InstKind::Phi { args } = &data.kind {
+                    for a in args {
+                        uses[a.value.index()].push(i);
+                    }
+                }
+            }
+        }
+
+        // Branch-implied constraints depend only on the (immutable)
+        // instructions and CFG shape.
+        let mut region_refs: Vec<Vec<(Block, RefTerm)>> = vec![Vec::new(); nv];
+        let mut edge_refs: Vec<Vec<(Block, Vec<RefTerm>)>> = vec![Vec::new(); func.num_blocks()];
+        let mut refine_deps: Vec<Vec<Value>> = vec![Vec::new(); nv];
+        for b in func.blocks() {
+            let Some(term) = func.terminator(b) else {
+                continue;
+            };
+            let InstKind::Branch {
+                cond,
+                then_dst,
+                else_dst,
+            } = func.inst(term).kind
+            else {
+                continue;
+            };
+            if then_dst == else_dst {
+                continue;
+            }
+            for (succ, edge_taken) in [(then_dst, true), (else_dst, false)] {
+                let mut terms = vec![RefTerm {
+                    value: cond,
+                    op: if edge_taken { BinOp::Ne } else { BinOp::Eq },
+                    lhs: true,
+                    taken: true,
+                    other: RefOther::Zero,
+                }];
+                if let Some(di) = def_of[cond.index()] {
+                    if let InstKind::Binary { op, a, b: rhs } = func.inst(di).kind {
+                        if is_comparison(op) && a != rhs {
+                            terms.push(RefTerm {
+                                value: a,
+                                op,
+                                lhs: true,
+                                taken: edge_taken,
+                                other: RefOther::Val(rhs),
+                            });
+                            terms.push(RefTerm {
+                                value: rhs,
+                                op,
+                                lhs: false,
+                                taken: edge_taken,
+                                other: RefOther::Val(a),
+                            });
+                        }
+                    }
+                }
+                for t in &terms {
+                    if let RefOther::Val(o) = t.other {
+                        refine_deps[o.index()].push(t.value);
+                    }
+                }
+                edge_refs[b.index()].push((succ, terms.clone()));
+                // The constraint holds throughout the region the edge is
+                // the only way into: SSA values are immutable and their
+                // defs dominate the branch, so the tested value is the
+                // same at every block the edge target dominates.
+                let preds = cfg.preds(succ);
+                if preds.len() == 1 && preds[0] == b {
+                    for t in terms {
+                        region_refs[t.value.index()].push((succ, t));
+                    }
+                }
+            }
+        }
+
+        let mut is_header = vec![false; func.num_blocks()];
+        for &h in loops.headers() {
+            is_header[h.index()] = true;
+        }
+
+        SolverInputs {
+            dt,
+            uses,
+            inst_block,
+            region_refs,
+            edge_refs,
+            refine_deps,
+            is_header,
+        }
+    }
+}
+
 struct Solver<'a, T: Transfer> {
     func: &'a Function,
     t: &'a T,
-    dt: std::rc::Rc<fcc_analysis::DomTree>,
+    inputs: &'a SolverInputs,
     facts: Vec<T::Fact>,
     exec_block: Vec<bool>,
     visited: Vec<bool>,
-    exec_edge: HashSet<(u32, u32)>,
-    uses: Vec<Vec<Inst>>,
-    inst_block: HashMap<Inst, Block>,
-    /// Constraints keyed by the refined value, each valid in the region
-    /// dominated by its root block.
-    region_refs: HashMap<u32, Vec<(Block, RefTerm)>>,
-    /// Constraints applying to φ arguments along one CFG edge.
-    edge_refs: HashMap<(u32, u32), Vec<RefTerm>>,
-    /// `other → refined values`: when `other`'s fact rises, every use of
-    /// the refined value must be revisited.
-    refine_deps: HashMap<u32, Vec<Value>>,
-    is_header: Vec<bool>,
+    exec_edge: ExecEdges,
     raises: Vec<u16>,
     zero: T::Fact,
     flow: Vec<(Block, Block)>,
@@ -164,6 +325,15 @@ struct Solver<'a, T: Transfer> {
 /// Run `t` to fixpoint over the strict-SSA function `func`, pulling the
 /// CFG, dominator tree, and loop nesting from `am`.
 pub fn solve<T: Transfer>(func: &Function, am: &mut AnalysisManager, t: &T) -> Solution<T::Fact> {
+    solve_with(func, &SolverInputs::harvest(func, am), t)
+}
+
+/// [`solve`] over inputs already harvested from `func`'s current state.
+pub(crate) fn solve_with<T: Transfer>(
+    func: &Function,
+    inputs: &SolverInputs,
+    t: &T,
+) -> Solution<T::Fact> {
     // Fault-injection point: an armed solver-spin models a transfer
     // function that never converges. Only the installed fuel budget
     // bounds it — with unlimited fuel this genuinely hangs, which is
@@ -172,127 +342,17 @@ pub fn solve<T: Transfer>(func: &Function, am: &mut AnalysisManager, t: &T) -> S
         fcc_analysis::fuel::checkpoint(1);
         std::hint::spin_loop();
     }
-    let cfg = am.cfg(func);
-    let dt = am.domtree(func);
-    let loops = am.loops(func);
-
     let nv = func.num_values();
     let nb = func.num_blocks();
-    let mut uses: Vec<Vec<Inst>> = vec![Vec::new(); nv];
-    let mut inst_block = HashMap::new();
-    let mut def_of: Vec<Option<Inst>> = vec![None; nv];
-    for b in func.blocks() {
-        for &i in func.block_insts(b) {
-            let data = func.inst(i);
-            inst_block.insert(i, b);
-            if let Some(d) = data.dst {
-                def_of[d.index()] = Some(i);
-            }
-            data.kind.for_each_use(|v| uses[v.index()].push(i));
-            if let InstKind::Phi { args } = &data.kind {
-                for a in args {
-                    uses[a.value.index()].push(i);
-                }
-            }
-        }
-    }
-
-    // Harvest branch-implied constraints once: they depend only on the
-    // (immutable) instructions and CFG shape.
-    let mut region_refs: HashMap<u32, Vec<(Block, RefTerm)>> = HashMap::new();
-    let mut edge_refs: HashMap<(u32, u32), Vec<RefTerm>> = HashMap::new();
-    let mut refine_deps: HashMap<u32, Vec<Value>> = HashMap::new();
-    for b in func.blocks() {
-        let Some(term) = func.terminator(b) else {
-            continue;
-        };
-        let InstKind::Branch {
-            cond,
-            then_dst,
-            else_dst,
-        } = func.inst(term).kind
-        else {
-            continue;
-        };
-        if then_dst == else_dst {
-            continue;
-        }
-        for (succ, edge_taken) in [(then_dst, true), (else_dst, false)] {
-            let mut terms = vec![RefTerm {
-                value: cond,
-                op: if edge_taken { BinOp::Ne } else { BinOp::Eq },
-                lhs: true,
-                taken: true,
-                other: RefOther::Zero,
-            }];
-            if let Some(di) = def_of[cond.index()] {
-                if let InstKind::Binary { op, a, b: rhs } = func.inst(di).kind {
-                    if is_comparison(op) && a != rhs {
-                        terms.push(RefTerm {
-                            value: a,
-                            op,
-                            lhs: true,
-                            taken: edge_taken,
-                            other: RefOther::Val(rhs),
-                        });
-                        terms.push(RefTerm {
-                            value: rhs,
-                            op,
-                            lhs: false,
-                            taken: edge_taken,
-                            other: RefOther::Val(a),
-                        });
-                    }
-                }
-            }
-            for t in &terms {
-                if let RefOther::Val(o) = t.other {
-                    refine_deps
-                        .entry(o.index() as u32)
-                        .or_default()
-                        .push(t.value);
-                }
-            }
-            edge_refs
-                .entry((b.index() as u32, succ.index() as u32))
-                .or_default()
-                .extend(terms.iter().copied());
-            // The constraint holds throughout the region the edge is
-            // the only way into: SSA values are immutable and their
-            // defs dominate the branch, so the tested value is the
-            // same at every block the edge target dominates.
-            let preds = cfg.preds(succ);
-            if preds.len() == 1 && preds[0] == b {
-                for t in terms {
-                    region_refs
-                        .entry(t.value.index() as u32)
-                        .or_default()
-                        .push((succ, t));
-                }
-            }
-        }
-    }
-
-    let mut is_header = vec![false; nb];
-    for &h in loops.headers() {
-        is_header[h.index()] = true;
-    }
-
     let zero = t.transfer(&InstKind::Const { imm: 0 }, &mut |_| T::Fact::bottom());
     let mut s = Solver {
         func,
         t,
-        dt,
+        inputs,
         facts: vec![T::Fact::bottom(); nv],
         exec_block: vec![false; nb],
         visited: vec![false; nb],
-        exec_edge: HashSet::new(),
-        uses,
-        inst_block,
-        region_refs,
-        edge_refs,
-        refine_deps,
-        is_header,
+        exec_edge: ExecEdges::new(nb),
         raises: vec![0; nv],
         zero,
         flow: Vec::new(),
@@ -329,14 +389,15 @@ impl<T: Transfer> Solver<'_, T> {
                     self.process_block(to);
                 } else {
                     // A new incoming edge only changes the φ joins.
-                    for phi in self.func.block_phis(to).collect::<Vec<_>>() {
+                    let func = self.func;
+                    for phi in func.block_phis(to) {
                         self.process_inst(to, phi);
                     }
                 }
             }
             while let Some(i) = self.ssa.pop() {
                 self.steps += 1;
-                let b = self.inst_block[&i];
+                let b = self.inputs.inst_block[i.index()].expect("queued uses are placed");
                 if self.exec_block[b.index()] {
                     self.process_inst(b, i);
                 }
@@ -359,8 +420,7 @@ impl<T: Transfer> Solver<'_, T> {
         for b in self.func.blocks() {
             self.exec_block[b.index()] = true;
             for succ in self.func.successors(b) {
-                self.exec_edge
-                    .insert((b.index() as u32, succ.index() as u32));
+                self.exec_edge.insert(b, succ);
             }
         }
         self.flow.clear();
@@ -368,7 +428,8 @@ impl<T: Transfer> Solver<'_, T> {
     }
 
     fn process_block(&mut self, b: Block) {
-        for i in self.func.block_insts(b).to_vec() {
+        let func = self.func;
+        for &i in func.block_insts(b) {
             self.steps += 1;
             self.process_inst(b, i);
         }
@@ -382,32 +443,34 @@ impl<T: Transfer> Solver<'_, T> {
             (InstKind::Phi { args }, Some(dst)) => {
                 let mut acc = T::Fact::bottom();
                 for a in args {
-                    let key = (a.pred.index() as u32, b.index() as u32);
-                    if !self.exec_edge.contains(&key) {
+                    if !self.exec_edge.contains(a.pred, b) {
                         continue;
                     }
                     // The argument as known at the end of its edge:
                     // region constraints valid in the predecessor plus
                     // the edge's own constraints.
                     let mut f = self.refined(a.value, a.pred);
-                    if let Some(terms) = self.edge_refs.get(&key) {
-                        for t in terms.clone() {
+                    let edge = self.inputs.edge_refs[a.pred.index()]
+                        .iter()
+                        .find(|(to, _)| *to == b);
+                    if let Some((_, terms)) = edge {
+                        for t in terms {
                             if t.value == a.value {
-                                f = f.meet(&self.constraint_fact(&t));
+                                f = f.meet(&self.constraint_fact(t));
                             }
                         }
                     }
                     acc = acc.join(&f);
                 }
-                let widen_ok = self.is_header[b.index()];
+                let widen_ok = self.inputs.is_header[b.index()];
                 self.raise(dst, acc, widen_ok);
             }
             (kind, _) if kind.is_terminator() => self.eval_terminator(b, kind),
             (kind, Some(dst)) => {
                 let new = {
                     let facts = &self.facts;
-                    let region_refs = &self.region_refs;
-                    let dt: &fcc_analysis::DomTree = &self.dt;
+                    let region_refs = &self.inputs.region_refs;
+                    let dt: &fcc_analysis::DomTree = &self.inputs.dt;
                     let t = self.t;
                     let zero = &self.zero;
                     let mut env = |v: Value| refined_in(facts, region_refs, dt, t, zero, v, b);
@@ -443,10 +506,7 @@ impl<T: Transfer> Solver<'_, T> {
     }
 
     fn mark_edge(&mut self, from: Block, to: Block) {
-        if self
-            .exec_edge
-            .insert((from.index() as u32, to.index() as u32))
-        {
+        if self.exec_edge.insert(from, to) {
             self.exec_block[to.index()] = true;
             self.flow.push((from, to));
         }
@@ -457,8 +517,8 @@ impl<T: Transfer> Solver<'_, T> {
     fn refined(&self, v: Value, at: Block) -> T::Fact {
         refined_in(
             &self.facts,
-            &self.region_refs,
-            self.dt.as_ref(),
+            &self.inputs.region_refs,
+            self.inputs.dt.as_ref(),
             self.t,
             &self.zero,
             v,
@@ -487,11 +547,10 @@ impl<T: Transfer> Solver<'_, T> {
         }
         self.facts[dst.index()] = next;
         self.raises[dst.index()] = count.saturating_add(1);
-        self.ssa.extend_from_slice(&self.uses[dst.index()]);
-        if let Some(refined) = self.refine_deps.get(&(dst.index() as u32)) {
-            for v in refined.clone() {
-                self.ssa.extend_from_slice(&self.uses[v.index()]);
-            }
+        let inputs = self.inputs;
+        self.ssa.extend_from_slice(&inputs.uses[dst.index()]);
+        for v in &inputs.refine_deps[dst.index()] {
+            self.ssa.extend_from_slice(&inputs.uses[v.index()]);
         }
     }
 }
@@ -500,7 +559,7 @@ impl<T: Transfer> Solver<'_, T> {
 /// immutably borrowed inside a transfer-function environment.
 fn refined_in<T: Transfer>(
     facts: &[T::Fact],
-    region_refs: &HashMap<u32, Vec<(Block, RefTerm)>>,
+    region_refs: &[Vec<(Block, RefTerm)>],
     dt: &fcc_analysis::DomTree,
     t: &T,
     zero: &T::Fact,
@@ -508,11 +567,9 @@ fn refined_in<T: Transfer>(
     at: Block,
 ) -> T::Fact {
     let mut f = facts[v.index()].clone();
-    if let Some(list) = region_refs.get(&(v.index() as u32)) {
-        for (root, term) in list {
-            if dt.dominates(*root, at) {
-                f = f.meet(&constraint_fact_in(facts, t, zero, term));
-            }
+    for (root, term) in &region_refs[v.index()] {
+        if dt.dominates(*root, at) {
+            f = f.meet(&constraint_fact_in(facts, t, zero, term));
         }
     }
     f

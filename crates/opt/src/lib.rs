@@ -65,6 +65,8 @@ pub use memopt::{
 pub use range_fold::{range_fold, range_fold_with, RangeFoldStats};
 pub use simplify_cfg::{simplify_cfg, simplify_cfg_with};
 
+use std::convert::Infallible;
+
 use fcc_analysis::{AnalysisManager, PreservedAnalyses};
 use fcc_ir::Function;
 
@@ -365,6 +367,20 @@ impl PassManager {
     /// Run to fixpoint against a shared analysis cache. After each pass
     /// the cache is invalidated according to the pass's [`PassEffect`].
     pub fn run(&self, func: &mut Function, am: &mut AnalysisManager) -> RunSummary {
+        let Ok(summary) = self.run_with(func, am, |_, _, _| Ok::<(), Infallible>(()));
+        summary
+    }
+
+    /// [`Self::run`], calling `after` at every pass boundary — once the
+    /// pass ran and the cache was invalidated — with the function, the
+    /// shared cache, and which pass just ran. An `Err` from `after`
+    /// stops the pipeline and is returned as is.
+    pub fn run_with<E>(
+        &self,
+        func: &mut Function,
+        am: &mut AnalysisManager,
+        mut after: impl FnMut(&Function, &mut AnalysisManager, PassBoundary) -> Result<(), E>,
+    ) -> Result<RunSummary, E> {
         let mut passes = self.fresh_stats();
         for round in 1..=self.max_rounds {
             let mut changed = false;
@@ -391,18 +407,24 @@ impl PassManager {
                     passes[i].insts_removed += live_before - func.live_inst_count() as i64;
                     changed = true;
                 }
+                let boundary = PassBoundary {
+                    pass: p.name(),
+                    round,
+                    changed: pass_changed,
+                };
+                after(func, am, boundary)?;
             }
             if !changed {
-                return RunSummary {
+                return Ok(RunSummary {
                     rounds: round,
                     passes,
-                };
+                });
             }
         }
-        RunSummary {
+        Ok(RunSummary {
             rounds: self.max_rounds,
             passes,
-        }
+        })
     }
 
     /// [`Self::run`] with a private, throwaway analysis cache — for
@@ -453,46 +475,25 @@ impl PassManager {
         };
         fcc_analysis::fuel::set_pass("<input>");
         lint(func, "<input>", 0)?;
-        let mut passes = self.fresh_stats();
-        for round in 1..=self.max_rounds {
-            let mut changed = false;
-            for (i, p) in self.passes.iter().enumerate() {
-                let before = func.epoch();
-                let live_before = func.live_inst_count() as i64;
-                fcc_analysis::fuel::set_pass(p.name());
-                fcc_analysis::fault::maybe_panic(p.name());
-                let effect = p.run(func, am);
-                fcc_analysis::fuel::checkpoint(1);
-                let mut pass_changed = effect.changed;
-                let mut preserved = if pass_changed {
-                    effect.preserved
-                } else {
-                    PreservedAnalyses::all()
-                };
-                if fault::maybe_corrupt(p.name(), func) {
-                    pass_changed = true;
-                    preserved = PreservedAnalyses::none();
-                }
-                am.invalidate(func, before, preserved);
-                if pass_changed {
-                    passes[i].applications += 1;
-                    passes[i].insts_removed += live_before - func.live_inst_count() as i64;
-                    changed = true;
-                    lint(func, p.name(), round)?;
-                }
+        self.run_with(func, am, |func, _am, b| {
+            if b.changed {
+                lint(func, b.pass, b.round)
+            } else {
+                Ok(())
             }
-            if !changed {
-                return Ok(RunSummary {
-                    rounds: round,
-                    passes,
-                });
-            }
-        }
-        Ok(RunSummary {
-            rounds: self.max_rounds,
-            passes,
         })
     }
+}
+
+/// Where [`PassManager::run_with`] stands when it calls its observer.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct PassBoundary {
+    /// The pass that just ran.
+    pub pass: &'static str,
+    /// The 1-based fixpoint round.
+    pub round: usize,
+    /// Whether the pass changed the function.
+    pub changed: bool,
 }
 
 /// A `--verify-each` pipeline abort: `pass` left the function violating

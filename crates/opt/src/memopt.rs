@@ -8,7 +8,8 @@
 //!   earlier store reads a value the program already holds in a
 //!   register; replace the load with a `copy` of the stored value.
 //!   Works in-block through a walking store window and across blocks
-//!   through [`fcc_alias::solve_memory`] entry facts.
+//!   through [`fcc_alias::solve_memory`] entry facts (read from the
+//!   analysis manager's cache, like the dataflow fixpoint).
 //! * [`redundant_load_elim`] — a load that must-alias an earlier load
 //!   with no possibly-clobbering store in between repeats a read;
 //!   replace it with a `copy` of the first load's result.
@@ -42,7 +43,7 @@
 
 use std::collections::BTreeMap;
 
-use fcc_alias::{alias_verdict, alias_verdict_const, solve_memory, AliasVerdict};
+use fcc_alias::{alias_verdict, alias_verdict_const, AliasVerdict, MemorySolution};
 use fcc_analysis::AnalysisManager;
 use fcc_dataflow::FunctionAnalysis;
 use fcc_ir::{Function, Inst, InstKind, Value};
@@ -99,8 +100,8 @@ fn store_forward_filtered(func: &mut Function, am: &mut AnalysisManager, web_saf
         Default::default()
     };
     let forwardable = |v: Value| !web_safe || !phi_involved.contains(&v);
-    let fa = FunctionAnalysis::compute(func, am);
-    let mem = solve_memory(func, &fa);
+    let fa = FunctionAnalysis::cached(func, am);
+    let mem = MemorySolution::cached(func, am);
     let mut rewrites: Vec<(Inst, Value)> = Vec::new();
     for b in func.blocks() {
         if !fa.block_live(b) {
@@ -157,7 +158,7 @@ pub fn redundant_load_elim(func: &mut Function) -> usize {
 /// with no intervening store that may clobber the word — by a `copy` of
 /// the first load's result. Returns the number of loads eliminated.
 pub fn redundant_load_elim_with(func: &mut Function, am: &mut AnalysisManager) -> usize {
-    let fa = FunctionAnalysis::compute(func, am);
+    let fa = FunctionAnalysis::cached(func, am);
     let mut rewrites: Vec<(Inst, Value)> = Vec::new();
     for b in func.blocks() {
         if !fa.block_live(b) {
@@ -213,7 +214,7 @@ pub fn dead_store_elim(func: &mut Function) -> usize {
 /// `OutOfBounds` payload instead (`param` barriers keep any other trap
 /// from firing first).
 pub fn dead_store_elim_with(func: &mut Function, am: &mut AnalysisManager) -> usize {
-    let fa = FunctionAnalysis::compute(func, am);
+    let fa = FunctionAnalysis::cached(func, am);
     let mut removals = Vec::new();
     for b in func.blocks() {
         if !fa.block_live(b) {

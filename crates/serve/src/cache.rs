@@ -63,8 +63,12 @@ use crate::disk::{DiskCache, DiskStats};
 /// key-layout changes within a release. Part of every key, so bumping
 /// either invalidates the whole cache. Rev 2: the optimiser pipelines
 /// gained the alias-gated memory passes, changing compiled output for
-/// unchanged sources.
-pub const CACHE_SCHEMA: &str = concat!(env!("CARGO_PKG_VERSION"), "/3");
+/// unchanged sources. Rev 3: `--k-registers` joined the signature.
+/// Rev 4: the dataflow fixpoint is cached per function epoch, so the
+/// solver charges fuel once per epoch instead of once per pass, and a
+/// result compiled under a `fuel` budget can differ from one an older
+/// build stored.
+pub const CACHE_SCHEMA: &str = concat!(env!("CARGO_PKG_VERSION"), "/4");
 
 /// 64-bit FNV-1a. Stable across platforms and releases (unlike
 /// `DefaultHasher`, which documents no such guarantee), which matters

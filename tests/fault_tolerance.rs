@@ -7,13 +7,19 @@
 //! `arm()` — a mutex guard that clears all injections when it drops,
 //! even on assertion failure — and the tests serialize on it.
 
+use fcc::alias::MemorySolution;
+use fcc::analysis::AnalysisManager;
 use fcc::core::CompileError;
+use fcc::dataflow::FunctionAnalysis;
 use fcc::driver::{
     compile_function_report, compile_module, failure_class, fuzz, CompileRequest, FailMode,
     FnStatus, FuzzConfig, PipelineSpec,
 };
 use fcc::ir::verify::verify_function;
 use fcc::ir::Module;
+use fcc::lint::{lint_function, LintStage};
+use fcc::opt::standard_pipeline;
+use fcc::ssa::{build_ssa_with, SsaFlavor};
 use fcc::workloads::{compile_kernel, kernels};
 use std::sync::{Mutex, MutexGuard};
 
@@ -145,6 +151,35 @@ fn verifier_violation_after_pass_is_rejected_and_recovers() {
     }
     let out = report.outcome.expect("bare rung succeeds");
     verify_function(&out.func).expect("recovered function verifies");
+}
+
+#[test]
+fn injected_violation_is_never_masked_by_a_cached_fixpoint() {
+    // range-fold reads (and caches) the dataflow fixpoint of the intact
+    // function; the injection then corrupts the IR. The corruption must
+    // drop the cached fixpoint, so that even a linter handed the shared
+    // manager, rather than a fresh one, sees the broken function.
+    let _armed = arm();
+    fcc::opt::fault::inject_verifier_violation_after(Some("range-fold"));
+    let mut func = compile_kernel(&kernels()[0]);
+    let mut am = AnalysisManager::new();
+    build_ssa_with(&mut func, SsaFlavor::Pruned, true, &mut am);
+    let err = standard_pipeline()
+        .run_with(&mut func, &mut am, |f, am, b| {
+            if b.pass != "range-fold" {
+                return Ok(());
+            }
+            assert!(b.changed, "a corruption counts as a change");
+            assert!(am.cached_extension::<FunctionAnalysis>(f).is_none());
+            assert!(am.cached_extension::<MemorySolution>(f).is_none());
+            if lint_function(f, am, LintStage::Ssa).has_errors() {
+                Err(b)
+            } else {
+                Ok(())
+            }
+        })
+        .expect_err("the corrupted function fails the lint suite");
+    assert_eq!((err.pass, err.round), ("range-fold", 1));
 }
 
 #[test]
