@@ -66,15 +66,6 @@ impl PipelineSpec {
         PipelineSpec::BriggsStar,
     ];
 
-    /// Parse the CLI spelling.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use the `FromStr` impl: `s.parse::<PipelineSpec>()`"
-    )]
-    pub fn parse(s: &str) -> Option<Self> {
-        s.parse().ok()
-    }
-
     /// The canonical spelling, shared by the CLI, the serve protocol,
     /// and the cache key (also what [`Display`](fmt::Display) prints).
     pub fn label(self) -> &'static str {

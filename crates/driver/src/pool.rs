@@ -13,8 +13,11 @@
 //! the caller sees input order no matter how the scheduler interleaved
 //! the workers. Combined with per-worker analysis state (each closure
 //! call builds its own `AnalysisManager`), output is byte-identical for
-//! any `--jobs` value.
+//! any `--jobs` value. Each worker also runs under the caller's
+//! [`fcc_analysis::fault::FaultPlan`], so a compile sees the same
+//! injected faults at every width.
 
+use fcc_analysis::fault;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -114,6 +117,7 @@ where
         );
     }
 
+    let plan = fault::current_plan();
     let cursor = AtomicUsize::new(0);
     let poisoned = AtomicBool::new(false);
     let mut tagged: Vec<(usize, T, Duration)> = Vec::with_capacity(n);
@@ -123,6 +127,7 @@ where
             let cursor = &cursor;
             let poisoned = &poisoned;
             let f = &f;
+            let plan = &plan;
             handles.push(scope.spawn(move || {
                 // Set the poison flag if this worker unwinds out of `f`,
                 // telling its peers to stop pulling new items.
@@ -133,7 +138,7 @@ where
                     }
                 }
                 let mut local: Vec<(usize, T, Duration)> = Vec::new();
-                loop {
+                fault::with_faults(plan, || loop {
                     if poisoned.load(Ordering::Relaxed) {
                         break;
                     }
@@ -146,7 +151,7 @@ where
                     let v = f(i);
                     std::mem::forget(guard);
                     local.push((i, v, it.elapsed()));
-                }
+                });
                 local
             }));
         }
@@ -222,6 +227,21 @@ mod tests {
         let u = timing.utilization();
         assert!((0.0..=1.0).contains(&u), "utilization {u} out of range");
         assert!(!timing.render().is_empty());
+    }
+
+    #[test]
+    fn workers_run_under_the_callers_fault_plan() {
+        let plan = fault::FaultPlan {
+            solver_spin: true,
+            ..Default::default()
+        };
+        for jobs in [1, 4] {
+            let (seen, _) =
+                fault::with_faults(&plan, || par_map(16, jobs, |_| fault::solver_spin()));
+            assert!(seen.iter().all(|&s| s), "jobs={jobs}");
+            let (seen, _) = par_map(16, jobs, |_| fault::solver_spin());
+            assert!(seen.iter().all(|&s| !s), "jobs={jobs}");
+        }
     }
 
     #[test]

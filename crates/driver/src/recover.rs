@@ -37,6 +37,7 @@ use std::sync::Once;
 
 use fcc_analysis::fuel::{self, Fuel};
 use fcc_core::CompileError;
+use fcc_ir::diagnostic::json_escape;
 use fcc_ir::{Function, Module};
 
 use crate::compile::{compile_function, FunctionOutcome, ModuleOutcome, PipelineSpec};
@@ -501,23 +502,6 @@ fn first_line(s: &str) -> &str {
     s.lines().next().unwrap_or(s)
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -588,11 +572,5 @@ mod tests {
         );
         assert!(report.hit_deadline());
         assert_eq!(report.attempts[0].error.kind(), "deadline");
-    }
-
-    #[test]
-    fn json_escaping_handles_the_awkward_cases() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

@@ -210,6 +210,12 @@ mod tests {
     }
 
     #[test]
+    fn json_escaping_handles_the_awkward_cases() {
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
+    }
+
+    #[test]
     fn severity_orders_note_warning_error() {
         assert!(Severity::Note < Severity::Warning);
         assert!(Severity::Warning < Severity::Error);

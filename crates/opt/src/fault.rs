@@ -1,44 +1,36 @@
 //! Controlled fault injection for testing the failure-handling stack.
 //!
 //! This is the public face of the injection matrix that exercises the
-//! driver's degradation ladder, one injection per failure class:
+//! driver's degradation ladder, one [`FaultPlan`] field per failure
+//! class:
 //!
-//! * **panic in a named pass** ([`inject_panic_in`]) — fired by the
-//!   pass manager and the driver's phase timers at entry to the pass;
-//! * **infinite loop in the solver** ([`inject_solver_spin`]) — the
+//! * **panic in a named pass** (`panic_in`) — fired by the pass manager
+//!   and the driver's phase timers at entry to the pass;
+//! * **infinite loop in the solver** (`solver_spin`) — the
 //!   `fcc-dataflow` worklist solver busy-loops until the fuel budget
 //!   stops it;
-//! * **verifier violation after a named pass**
-//!   ([`inject_verifier_violation_after`]) — [`maybe_corrupt`] plants a
-//!   use of a never-defined value right after the pass runs, which the
-//!   lint suite / SSA verifier must then report against that pass.
+//! * **verifier violation after a named pass** (`violate_after`) —
+//!   [`maybe_corrupt`] plants a use of a never-defined value right after
+//!   the pass runs, which the lint suite / SSA verifier must then report
+//!   against that pass;
+//! * **the φ-ordering bug** (`phi_restore_disabled`) — the fuzz harness
+//!   promises that when a pipeline miscompiles, the differential oracle
+//!   catches it and the shrinker reduces it to a small repro. That
+//!   promise is only testable against a *real* miscompile, so this field
+//!   re-opens a bug this codebase actually had: skipping
+//!   [`crate::constfold::restore_phis_first`] after folding leaves non-φ
+//!   instructions above sibling φs, which later φ-scans (SSA
+//!   destruction, verification) silently truncate.
 //!
-//! The registry itself lives in [`fcc_analysis::fault`] (the solver
-//! cannot see this crate) and is re-exported here; only the
-//! `Function`-mutating corruption is implemented locally. All switches
-//! are process-global — tests that arm them serialise on a lock.
-//!
-//! Historically this module also carries the φ-ordering bug switch: the
-//! fuzz harness promises that when a pipeline miscompiles, the
-//! differential oracle catches it and the shrinker reduces it to a
-//! small repro. That promise is only testable against a *real*
-//! miscompile, so [`disable_phi_restore`] can re-open a bug this
-//! codebase actually had: skipping
-//! [`crate::constfold::restore_phis_first`] after folding leaves non-φ
-//! instructions above sibling φs, which later φ-scans (SSA destruction,
-//! verification) silently truncate.
-//!
-//! The switches are process-global `AtomicBool`s rather than only cargo
-//! features so the default test suite — which runs without features —
-//! can flip them on for a single test binary. Building with the
-//! `inject-phi-ordering-bug` feature sets the φ switch's initial value.
+//! The plan and its scope ([`with_faults`]) live in
+//! [`fcc_analysis::fault`] (the solver cannot see this crate) and are
+//! re-exported here; only the `Function`-mutating corruption is
+//! implemented locally.
 
 use fcc_ir::{Function, InstKind};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 pub use fcc_analysis::fault::{
-    any_armed, clear_injections, inject_panic_in, inject_solver_spin,
-    inject_verifier_violation_after, maybe_panic, solver_spin, violation_target,
+    maybe_panic, phi_restore_disabled, solver_spin, violation_target, with_faults, FaultPlan,
 };
 
 /// Hook: if a verifier-violation injection targets `pass`, corrupt
@@ -80,20 +72,4 @@ pub fn maybe_corrupt(pass: &str, func: &mut Function) -> bool {
     let entry = func.entry();
     func.insert_before_terminator(entry, InstKind::Copy { src: undef }, Some(dst));
     true
-}
-
-static PHI_RESTORE_DISABLED: AtomicBool =
-    AtomicBool::new(cfg!(feature = "inject-phi-ordering-bug"));
-
-/// Enable or disable the injected φ-ordering bug for this process.
-///
-/// When set, `constfold`/`range_fold` skip restoring the φs-first block
-/// layout after rewriting φs, miscompiling some φ-heavy programs.
-pub fn disable_phi_restore(disabled: bool) {
-    PHI_RESTORE_DISABLED.store(disabled, Ordering::SeqCst);
-}
-
-/// Whether the φ-ordering restore is currently disabled.
-pub fn phi_restore_disabled() -> bool {
-    PHI_RESTORE_DISABLED.load(Ordering::SeqCst)
 }

@@ -148,20 +148,25 @@ impl FnCache {
         }
     }
 
-    /// Attach (and warm from) the persistent store at `dir`. Valid
-    /// entries load into memory in the store's recency order — oldest
-    /// first, so re-inserting reconstructs the LRU ranking — evicting
-    /// (and deleting from disk) whatever exceeds the budget. Corrupt
-    /// entries were already quarantined by the load. From here on every
-    /// insert writes through and every eviction removes its file.
+    /// Attach (and warm from) a fault-free persistent store at `dir`;
+    /// see [`FnCache::attach_store`].
     pub fn attach_disk(&mut self, dir: &Path) -> io::Result<()> {
-        let mut disk = DiskCache::open(dir)?;
+        self.attach_store(DiskCache::open(dir, None)?);
+        Ok(())
+    }
+
+    /// Attach (and warm from) `disk`. Valid entries load into memory in
+    /// the store's recency order — oldest first, so re-inserting
+    /// reconstructs the LRU ranking — evicting (and deleting from disk)
+    /// whatever exceeds the budget. Corrupt entries were already
+    /// quarantined by the load. From here on every insert writes
+    /// through and every eviction removes its file.
+    pub fn attach_store(&mut self, mut disk: DiskCache) {
         let warmed = disk.load_all();
         self.disk = Some(disk);
         for (key, report) in &warmed {
             self.insert_impl(key, report, false);
         }
-        Ok(())
     }
 
     /// Disk-layer counters (all zero when no store is attached).

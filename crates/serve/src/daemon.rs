@@ -32,6 +32,8 @@ use fcc_driver::{BatchOutcome, CompileRequest, FailMode};
 use fcc_ir::Module;
 
 use crate::cache::{compile_module_cached, FnCache};
+use crate::disk::DiskCache;
+use crate::fsio::DiskFault;
 use crate::json::Json;
 use crate::protocol::{
     error_response, parse_request, CompileBody, Lang, Request, ResponseBuilder, ServeError, Verb,
@@ -47,6 +49,9 @@ pub struct ServeOptions {
     pub cache_budget: usize,
     /// Directory for the persistent cache; `None` keeps it memory-only.
     pub cache_dir: Option<std::path::PathBuf>,
+    /// A fault every read and write of the persistent cache suffers
+    /// (testing; `fcc serve --inject-disk-fault`).
+    pub disk_fault: Option<DiskFault>,
     /// Compile requests admitted concurrently before shedding with 503.
     /// `0` sheds every compile (useful for drain/tests); stdio's
     /// sequential loop never queues, so any value ≥ 1 never sheds there.
@@ -61,6 +66,7 @@ impl Default for ServeOptions {
             defaults: CompileRequest::new(),
             cache_budget: 256 << 20,
             cache_dir: None,
+            disk_fault: None,
             max_queue: 64,
             max_line_bytes: 16 << 20,
         }
@@ -165,7 +171,7 @@ impl Daemon {
     pub fn new(opts: ServeOptions) -> io::Result<Self> {
         let mut cache = FnCache::with_budget(opts.cache_budget);
         if let Some(dir) = &opts.cache_dir {
-            cache.attach_disk(dir)?;
+            cache.attach_store(DiskCache::open(dir, opts.disk_fault)?);
         }
         Ok(Daemon {
             defaults: opts.defaults,

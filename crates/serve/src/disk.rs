@@ -39,7 +39,7 @@ use fcc_driver::FunctionReport;
 
 use crate::cache::{fnv64, CACHE_SCHEMA};
 use crate::codec::{decode_report, encode_report};
-use crate::fsio;
+use crate::fsio::{self, DiskFault};
 
 /// File extension of a cache entry.
 const ENTRY_EXT: &str = "fnc";
@@ -69,13 +69,15 @@ pub struct DiskStats {
 /// budget bounds disk occupancy too.
 pub struct DiskCache {
     dir: PathBuf,
+    fault: Option<DiskFault>,
     stats: DiskStats,
 }
 
 impl DiskCache {
     /// Open (creating if needed) the store at `dir` and its quarantine
     /// sidecar. Sweeps temp files abandoned by a crashed predecessor.
-    pub fn open(dir: &Path) -> io::Result<DiskCache> {
+    /// Every later read and write of this store suffers `fault`, if any.
+    pub fn open(dir: &Path, fault: Option<DiskFault>) -> io::Result<DiskCache> {
         fs::create_dir_all(dir)?;
         fs::create_dir_all(dir.join(QUARANTINE_DIR))?;
         for entry in fs::read_dir(dir)? {
@@ -87,6 +89,7 @@ impl DiskCache {
         }
         Ok(DiskCache {
             dir: dir.to_path_buf(),
+            fault,
             stats: DiskStats::default(),
         })
     }
@@ -121,7 +124,7 @@ impl DiskCache {
         );
         let mut bytes = header.into_bytes();
         bytes.extend_from_slice(payload.as_bytes());
-        match fsio::write_atomic(&self.entry_path(hash), &bytes) {
+        match fsio::write_atomic(&self.entry_path(hash), &bytes, self.fault) {
             Ok(()) => self.stats.writes += 1,
             Err(_) => self.stats.write_errors += 1,
         }
@@ -196,7 +199,7 @@ impl DiskCache {
     /// Validate one entry file end to end. Every rejection reason is a
     /// distinct string so the quarantine sidecar says *why*.
     fn load_one(&self, path: &Path, name: &str) -> Result<(String, FunctionReport), String> {
-        let bytes = fsio::read(path).map_err(|e| format!("unreadable: {e}"))?;
+        let bytes = fsio::read(path, self.fault).map_err(|e| format!("unreadable: {e}"))?;
         let nl = bytes
             .iter()
             .position(|&b| b == b'\n')
@@ -264,11 +267,11 @@ impl DiskCache {
         for h in hashes_lru_first {
             body.push_str(&format!("{h:016x}.{ENTRY_EXT}\n"));
         }
-        let _ = fsio::write_atomic(&self.dir.join(INDEX_NAME), body.as_bytes());
+        let _ = fsio::write_atomic(&self.dir.join(INDEX_NAME), body.as_bytes(), self.fault);
     }
 
     fn read_index(&self) -> Option<Vec<String>> {
-        let bytes = fsio::read(&self.dir.join(INDEX_NAME)).ok()?;
+        let bytes = fsio::read(&self.dir.join(INDEX_NAME), self.fault).ok()?;
         let text = String::from_utf8(bytes).ok()?;
         Some(text.lines().map(str::to_string).collect())
     }
@@ -292,26 +295,9 @@ impl DiskCache {
 mod tests {
     use super::*;
     use crate::cache::cache_key;
-    use crate::fsio::DiskFault;
     use fcc_driver::{compile_function_report, CompileRequest};
-    use std::sync::{Mutex, MutexGuard};
-
-    /// Serialize fault-arming across this module's tests.
-    fn arm(fault: Option<DiskFault>) -> impl Drop {
-        static LOCK: Mutex<()> = Mutex::new(());
-        struct Armed(#[allow(dead_code)] MutexGuard<'static, ()>);
-        impl Drop for Armed {
-            fn drop(&mut self) {
-                crate::fsio::clear();
-            }
-        }
-        let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        crate::fsio::clear();
-        if let Some(f) = fault {
-            crate::fsio::inject(f);
-        }
-        Armed(guard)
-    }
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("fcc-disk-{tag}-{}", std::process::id()));
@@ -330,14 +316,13 @@ mod tests {
 
     #[test]
     fn store_then_reload_round_trips() {
-        let _g = arm(None);
         let dir = tmpdir("roundtrip");
-        let mut disk = DiskCache::open(&dir).unwrap();
+        let mut disk = DiskCache::open(&dir, None).unwrap();
         let (key, report) = sample(1);
         disk.store(&key, &report);
         assert_eq!(disk.stats().writes, 1);
 
-        let mut fresh = DiskCache::open(&dir).unwrap();
+        let mut fresh = DiskCache::open(&dir, None).unwrap();
         let loaded = fresh.load_all();
         assert_eq!(loaded.len(), 1);
         assert_eq!(loaded[0].0, key);
@@ -352,9 +337,8 @@ mod tests {
 
     #[test]
     fn every_corruption_class_is_quarantined_not_served() {
-        let _g = arm(None);
         let dir = tmpdir("corrupt");
-        let mut disk = DiskCache::open(&dir).unwrap();
+        let mut disk = DiskCache::open(&dir, None).unwrap();
         let (key, report) = sample(2);
         disk.store(&key, &report);
         let hash = fnv64(key.as_bytes());
@@ -386,7 +370,7 @@ mod tests {
             fs::write(dir.join(name), bytes).unwrap();
         }
 
-        let mut fresh = DiskCache::open(&dir).unwrap();
+        let mut fresh = DiskCache::open(&dir, None).unwrap();
         let loaded = fresh.load_all();
         assert_eq!(loaded.len(), 1, "only the intact entry loads");
         assert_eq!(loaded[0].0, key);
@@ -394,7 +378,7 @@ mod tests {
         assert_eq!(fresh.quarantined_names().len(), cases.len());
         // Quarantine emptied the main dir of bad entries: a second open
         // sees only the good one.
-        let mut again = DiskCache::open(&dir).unwrap();
+        let mut again = DiskCache::open(&dir, None).unwrap();
         assert_eq!(again.load_all().len(), 1);
         assert_eq!(again.stats().quarantined, 0);
         let _ = fs::remove_dir_all(&dir);
@@ -404,27 +388,23 @@ mod tests {
     fn torn_and_short_writes_never_serve_bad_data() {
         let dir = tmpdir("faultwrite");
         {
-            let _g = arm(Some(DiskFault::TornWrite));
-            let mut disk = DiskCache::open(&dir).unwrap();
+            let mut disk = DiskCache::open(&dir, Some(DiskFault::TornWrite)).unwrap();
             let (key, report) = sample(3);
             disk.store(&key, &report); // rename lands, payload is half
         }
         {
-            let _g = arm(None);
-            let mut disk = DiskCache::open(&dir).unwrap();
+            let mut disk = DiskCache::open(&dir, None).unwrap();
             assert_eq!(disk.load_all().len(), 0, "torn entry must not load");
             assert_eq!(disk.stats().quarantined, 1);
         }
         {
-            let _g = arm(Some(DiskFault::ShortWrite));
-            let mut disk = DiskCache::open(&dir).unwrap();
+            let mut disk = DiskCache::open(&dir, Some(DiskFault::ShortWrite)).unwrap();
             let (key, report) = sample(4);
             disk.store(&key, &report);
             assert_eq!(disk.stats().write_errors, 1);
         }
         {
-            let _g = arm(None);
-            let mut disk = DiskCache::open(&dir).unwrap();
+            let mut disk = DiskCache::open(&dir, None).unwrap();
             assert_eq!(disk.load_all().len(), 0, "short write left nothing visible");
             assert_eq!(disk.stats().quarantined, 0, "nothing to quarantine either");
         }
@@ -434,8 +414,7 @@ mod tests {
     #[test]
     fn enospc_counts_and_degrades_gracefully() {
         let dir = tmpdir("enospc");
-        let _g = arm(Some(DiskFault::Enospc));
-        let mut disk = DiskCache::open(&dir).unwrap();
+        let mut disk = DiskCache::open(&dir, Some(DiskFault::Enospc)).unwrap();
         let (key, report) = sample(5);
         disk.store(&key, &report);
         disk.store(&key, &report);
@@ -448,14 +427,12 @@ mod tests {
     fn bit_flip_on_read_is_caught_by_the_checksum() {
         let dir = tmpdir("bitflip");
         {
-            let _g = arm(None);
-            let mut disk = DiskCache::open(&dir).unwrap();
+            let mut disk = DiskCache::open(&dir, None).unwrap();
             let (key, report) = sample(6);
             disk.store(&key, &report);
         }
         {
-            let _g = arm(Some(DiskFault::BitFlipRead));
-            let mut disk = DiskCache::open(&dir).unwrap();
+            let mut disk = DiskCache::open(&dir, Some(DiskFault::BitFlipRead)).unwrap();
             assert_eq!(disk.load_all().len(), 0);
             assert_eq!(disk.stats().quarantined, 1);
         }
@@ -463,10 +440,60 @@ mod tests {
     }
 
     #[test]
+    fn a_faulted_store_never_reaches_a_clean_one() {
+        // Two stores in one process, used from two threads at once: the
+        // torn store keeps writing while the clean store round-trips
+        // every entry in every round.
+        let torn_dir = tmpdir("iso-torn");
+        let clean_dir = tmpdir("iso-clean");
+        let samples: Vec<_> = (20..28).map(sample).collect();
+        let opened = Barrier::new(2);
+        let clean_done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut torn = DiskCache::open(&torn_dir, Some(DiskFault::TornWrite)).unwrap();
+                opened.wait();
+                while !clean_done.load(Ordering::SeqCst) {
+                    for (key, report) in &samples {
+                        torn.store(key, report);
+                    }
+                }
+            });
+            // Stop the torn writer even if a clean round fails.
+            struct Done<'a>(&'a AtomicBool);
+            impl Drop for Done<'_> {
+                fn drop(&mut self) {
+                    self.0.store(true, Ordering::SeqCst);
+                }
+            }
+            let _done = Done(&clean_done);
+            opened.wait();
+            for round in 0..10 {
+                let mut clean = DiskCache::open(&clean_dir, None).unwrap();
+                for (key, report) in &samples {
+                    clean.store(key, report);
+                }
+                let mut fresh = DiskCache::open(&clean_dir, None).unwrap();
+                let loaded = fresh.load_all();
+                assert_eq!(fresh.stats().quarantined, 0, "round {round}");
+                assert_eq!(loaded.len(), samples.len(), "round {round}");
+                for (key, report) in &samples {
+                    let (_, got) = loaded.iter().find(|(k, _)| k == key).unwrap();
+                    assert_eq!(encode_report(got), encode_report(report));
+                }
+            }
+        });
+        let mut torn = DiskCache::open(&torn_dir, None).unwrap();
+        assert_eq!(torn.load_all().len(), 0, "every torn entry is caught");
+        assert_eq!(torn.stats().quarantined as usize, samples.len());
+        let _ = fs::remove_dir_all(&torn_dir);
+        let _ = fs::remove_dir_all(&clean_dir);
+    }
+
+    #[test]
     fn the_index_orders_warming_and_removal_tracks_eviction() {
-        let _g = arm(None);
         let dir = tmpdir("index");
-        let mut disk = DiskCache::open(&dir).unwrap();
+        let mut disk = DiskCache::open(&dir, None).unwrap();
         let pairs: Vec<_> = (0..3).map(|i| sample(10 + i)).collect();
         for (key, report) in &pairs {
             disk.store(key, report);
@@ -474,7 +501,7 @@ mod tests {
         let hashes: Vec<u64> = pairs.iter().map(|(k, _)| fnv64(k.as_bytes())).collect();
         // Flush an index naming the *second* entry oldest.
         disk.flush_index(&[hashes[1], hashes[0], hashes[2]]);
-        let mut fresh = DiskCache::open(&dir).unwrap();
+        let mut fresh = DiskCache::open(&dir, None).unwrap();
         let loaded = fresh.load_all();
         let keys: Vec<&str> = loaded.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys[0], pairs[1].0, "index order wins");
@@ -482,7 +509,7 @@ mod tests {
 
         fresh.remove(hashes[1]);
         assert_eq!(fresh.stats().removals, 1);
-        let mut after = DiskCache::open(&dir).unwrap();
+        let mut after = DiskCache::open(&dir, None).unwrap();
         assert_eq!(after.load_all().len(), 2);
         let _ = fs::remove_dir_all(&dir);
     }

@@ -12,11 +12,11 @@
 //!    swept on startup) or, on filesystems that reorder data vs.
 //!    rename, a renamed file with truncated payload — which is exactly
 //!    what the store's checksum exists to catch.
-//! 2. **Faults are injectable.** In the zero-deps spirit of
-//!    `fcc_analysis::fault`, a process-global registry arms one
-//!    [`DiskFault`] at a time; the fast path is a single relaxed atomic
-//!    load when nothing is armed. The four faults model the real
-//!    failure classes a durable store must survive:
+//! 2. **Faults are injectable.** [`write_atomic`] and [`read`] take the
+//!    [`DiskFault`] to apply (`None` for a healthy disk); each
+//!    [`crate::DiskCache`] carries its own, so one store's fault never
+//!    reaches another. The four faults model the real failure classes a
+//!    durable store must survive:
 //!
 //!    | fault | models | observable state |
 //!    |---|---|---|
@@ -26,18 +26,17 @@
 //!    | [`DiskFault::BitFlipRead`] | media corruption | one payload bit flipped on read |
 //!
 //! Tests (and the CI fault matrix, via `fcc serve
-//! --inject-disk-fault`) arm a fault, drive the daemon, and assert the
-//! store's invariant: a faulted entry is either invisible or detected
-//! and quarantined — never served.
+//! --inject-disk-fault`) open a faulted store, drive the daemon, and
+//! assert the store's invariant: a faulted entry is either invisible or
+//! detected and quarantined — never served.
 
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::Path;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-/// One injectable disk failure. Sticky: stays armed until [`clear`].
+/// One injectable disk failure, applied to every file operation of the
+/// store that carries it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DiskFault {
     /// The rename lands but only half the payload's bytes do.
@@ -90,43 +89,16 @@ impl FromStr for DiskFault {
     }
 }
 
-/// Fast-path flag: non-zero iff a fault is armed. Checked with one
-/// relaxed load per file operation, so an unfaulted daemon pays nothing
-/// for the shim's existence.
-static ARMED: AtomicUsize = AtomicUsize::new(0);
-static FAULT: Mutex<Option<DiskFault>> = Mutex::new(None);
-
-/// Arm `fault` process-wide (replacing any armed fault) until [`clear`].
-pub fn inject(fault: DiskFault) {
-    *FAULT.lock().unwrap() = Some(fault);
-    ARMED.store(1, Ordering::SeqCst);
-}
-
-/// Disarm. Tests serialize on their own lock and call this from a drop
-/// guard, so a panicking test cannot leak a fault into its successors.
-pub fn clear() {
-    ARMED.store(0, Ordering::SeqCst);
-    *FAULT.lock().unwrap() = None;
-}
-
-/// The armed fault, if any (one relaxed load when nothing is armed).
-pub fn armed() -> Option<DiskFault> {
-    if ARMED.load(Ordering::Relaxed) == 0 {
-        return None;
-    }
-    *FAULT.lock().unwrap()
-}
-
 /// Write `bytes` to `path` via temp-file + `sync_all` + atomic rename.
 /// The temp file lives in `path`'s directory (rename must not cross a
 /// filesystem) and is named after the destination plus the process id,
 /// so concurrent daemons sharing a cache dir cannot collide.
 ///
-/// Under an armed fault this misbehaves exactly as documented on
+/// Under a `fault` this misbehaves exactly as documented on
 /// [`DiskFault`]; the caller treats any `Err` as a failed (skipped)
 /// store, never as fatal.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    match armed() {
+pub fn write_atomic(path: &Path, bytes: &[u8], fault: Option<DiskFault>) -> io::Result<()> {
+    match fault {
         Some(DiskFault::Enospc) => {
             return Err(io::Error::new(
                 io::ErrorKind::StorageFull,
@@ -162,12 +134,12 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     fs::rename(&tmp, path)
 }
 
-/// Read the whole file at `path`, applying an armed
+/// Read the whole file at `path`, applying a `fault` of
 /// [`DiskFault::BitFlipRead`] (one bit of the middle byte flips).
-pub fn read(path: &Path) -> io::Result<Vec<u8>> {
+pub fn read(path: &Path, fault: Option<DiskFault>) -> io::Result<Vec<u8>> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
-    if armed() == Some(DiskFault::BitFlipRead) && !bytes.is_empty() {
+    if fault == Some(DiskFault::BitFlipRead) && !bytes.is_empty() {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
     }
@@ -191,26 +163,6 @@ pub fn is_temp_name(name: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::MutexGuard;
-
-    /// Serialize fault-arming tests (the registry is process-global) and
-    /// guarantee disarming even on panic.
-    pub(crate) fn arm(fault: Option<DiskFault>) -> impl Drop {
-        static LOCK: Mutex<()> = Mutex::new(());
-        struct Armed(#[allow(dead_code)] MutexGuard<'static, ()>);
-        impl Drop for Armed {
-            fn drop(&mut self) {
-                clear();
-            }
-        }
-        let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        clear();
-        if let Some(f) = fault {
-            inject(f);
-        }
-        Armed(guard)
-    }
-
     fn tmpdir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("fcc-fsio-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -220,11 +172,10 @@ mod tests {
 
     #[test]
     fn atomic_write_round_trips_and_leaves_no_temp() {
-        let _g = arm(None);
         let dir = tmpdir("clean");
         let p = dir.join("x.fnc");
-        write_atomic(&p, b"hello world").unwrap();
-        assert_eq!(read(&p).unwrap(), b"hello world");
+        write_atomic(&p, b"hello world", None).unwrap();
+        assert_eq!(read(&p, None).unwrap(), b"hello world");
         let leftovers: Vec<_> = fs::read_dir(&dir)
             .unwrap()
             .filter(|e| is_temp_name(&e.as_ref().unwrap().file_name().to_string_lossy()))
@@ -238,15 +189,13 @@ mod tests {
         let dir = tmpdir("faults");
 
         {
-            let _g = arm(Some(DiskFault::Enospc));
             let p = dir.join("enospc.fnc");
-            assert!(write_atomic(&p, b"0123456789").is_err());
+            assert!(write_atomic(&p, b"0123456789", Some(DiskFault::Enospc)).is_err());
             assert!(!p.exists(), "ENOSPC must not touch the final path");
         }
         {
-            let _g = arm(Some(DiskFault::ShortWrite));
             let p = dir.join("short.fnc");
-            assert!(write_atomic(&p, b"0123456789").is_err());
+            assert!(write_atomic(&p, b"0123456789", Some(DiskFault::ShortWrite)).is_err());
             assert!(!p.exists(), "short write dies before rename");
             let temps = fs::read_dir(&dir)
                 .unwrap()
@@ -255,19 +204,14 @@ mod tests {
             assert_eq!(temps, 1, "the abandoned temp file is the only trace");
         }
         {
-            let _g = arm(Some(DiskFault::TornWrite));
             let p = dir.join("torn.fnc");
-            write_atomic(&p, b"0123456789").unwrap();
-            clear();
-            assert_eq!(read(&p).unwrap(), b"01234", "half the payload landed");
+            write_atomic(&p, b"0123456789", Some(DiskFault::TornWrite)).unwrap();
+            assert_eq!(read(&p, None).unwrap(), b"01234", "half the payload landed");
         }
         {
-            let _g = arm(None);
             let p = dir.join("flip.fnc");
-            write_atomic(&p, b"0123456789").unwrap();
-            inject(DiskFault::BitFlipRead);
-            let corrupt = read(&p).unwrap();
-            clear();
+            write_atomic(&p, b"0123456789", None).unwrap();
+            let corrupt = read(&p, Some(DiskFault::BitFlipRead)).unwrap();
             assert_ne!(corrupt, b"0123456789");
             assert_eq!(corrupt.len(), 10, "bit flip corrupts, never truncates");
         }

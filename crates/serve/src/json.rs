@@ -97,10 +97,8 @@ impl fmt::Display for Json {
 }
 
 /// JSON string escaping (quotes, backslashes, control characters) —
-/// shared with the driver's report renderer.
-pub fn escape(s: &str) -> String {
-    fcc_driver::recover::json_escape(s)
-}
+/// the one escaper every JSON renderer in the workspace shares.
+pub use fcc_ir::diagnostic::json_escape as escape;
 
 /// Where and why a parse failed.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -167,7 +167,8 @@
 //!   --max-line-bytes N   request-line cap; longer lines answer
 //!                    400 line-too-long (default 16 MiB)
 //!   --inject-disk-fault torn-write|short-write|enospc|bit-flip
-//!                    arm the disk-fault shim (the CI durability matrix)
+//!                    every read and write of the --cache-dir store
+//!                    suffers this fault (the CI durability matrix)
 //! ```
 //!
 //! And a bench-serve subcommand: the serve load generator. Replays a
@@ -208,6 +209,7 @@ use std::process::ExitCode;
 
 use fcc::driver::{fuzz as run_fuzz, par_map, render_phases, FuzzConfig};
 use fcc::ir::Module;
+use fcc::opt::fault::{with_faults, FaultPlan};
 use fcc::prelude::*;
 
 struct Options {
@@ -230,9 +232,7 @@ struct Options {
     report: bool,
     format: String,
     deny_warnings: bool,
-    inject_panic: Option<String>,
-    inject_spin: bool,
-    inject_violation: Option<String>,
+    faults: FaultPlan,
 }
 
 fn usage() -> &'static str {
@@ -278,9 +278,7 @@ fn parse_args(raw: Vec<String>) -> Result<Options, String> {
         report: false,
         format: "text".into(),
         deny_warnings: false,
-        inject_panic: None,
-        inject_spin: false,
-        inject_violation: None,
+        faults: FaultPlan::default(),
     };
     let need = |args: &mut dyn Iterator<Item = String>, flag: &str| {
         args.next().ok_or_else(|| format!("{flag} needs a value"))
@@ -324,10 +322,10 @@ fn parse_args(raw: Vec<String>) -> Result<Options, String> {
             }
             "--repro-dir" => o.repro_dir = need(&mut args, "--repro-dir")?,
             "--format" => o.format = need(&mut args, "--format")?,
-            "--inject-panic" => o.inject_panic = Some(need(&mut args, "--inject-panic")?),
-            "--inject-solver-spin" => o.inject_spin = true,
+            "--inject-panic" => o.faults.panic_in = Some(need(&mut args, "--inject-panic")?),
+            "--inject-solver-spin" => o.faults.solver_spin = true,
             "--inject-verifier-violation" => {
-                o.inject_violation = Some(need(&mut args, "--inject-verifier-violation")?)
+                o.faults.violate_after = Some(need(&mut args, "--inject-verifier-violation")?)
             }
             "--emit" => o.emit = need(&mut args, "--emit")?,
             "--run" => {
@@ -929,7 +927,7 @@ fn pressure_one(
 fn fuzz_main(args: Vec<String>) -> Result<bool, String> {
     let mut cfg = FuzzConfig::default();
     let mut repro_dir = ".".to_string();
-    let mut inject = false;
+    let mut faults = FaultPlan::default();
     let mut args = args.into_iter();
     let need = |args: &mut dyn Iterator<Item = String>, flag: &str| {
         args.next().ok_or_else(|| format!("{flag} needs a value"))
@@ -951,8 +949,8 @@ fn fuzz_main(args: Vec<String>) -> Result<bool, String> {
             }
             "--fuel" => cfg.fuel = Some(parse(need(&mut args, "--fuel")?, "--fuel")?),
             "--repro-dir" => repro_dir = need(&mut args, "--repro-dir")?,
-            "--inject-phi-bug" => inject = true,
-            "--inject-solver-spin" => fcc::opt::fault::inject_solver_spin(true),
+            "--inject-phi-bug" => faults.phi_restore_disabled = true,
+            "--inject-solver-spin" => faults.solver_spin = true,
             "--help" | "-h" => {
                 println!("{}", usage());
                 std::process::exit(0);
@@ -960,11 +958,7 @@ fn fuzz_main(args: Vec<String>) -> Result<bool, String> {
             other => return Err(format!("unknown argument {other}\n{}", usage())),
         }
     }
-    if inject {
-        fcc::opt::fault::disable_phi_restore(true);
-    }
-
-    let out = run_fuzz(&cfg);
+    let out = with_faults(&faults, || run_fuzz(&cfg));
     let rate = out.checked as f64 / out.timing.wall.as_secs_f64().max(1e-9);
     eprintln!(
         "; fuzz: {} seeds (start {}) through new/standard/briggs{} — {} failure(s); {}; {rate:.0} seeds/s",
@@ -1003,7 +997,7 @@ fn fuzz_main(args: Vec<String>) -> Result<bool, String> {
 /// Unix socket (`--socket PATH`) until EOF or a `shutdown` request. The
 /// build flags set the daemon-default [`CompileRequest`]; request lines
 /// override field-by-field. `--cache-dir` makes the function cache
-/// survive restarts; `--inject-disk-fault` arms the disk-fault shim for
+/// survive restarts; `--inject-disk-fault` gives that store a fault for
 /// the durability test matrix.
 fn serve_main(args: Vec<String>) -> Result<bool, String> {
     let mut req = CompileRequest::new();
@@ -1087,9 +1081,7 @@ fn serve_main(args: Vec<String>) -> Result<bool, String> {
                     .map_err(|e| format!("--max-line-bytes: {e}"))?
             }
             "--inject-disk-fault" => {
-                let fault: fcc::serve::DiskFault =
-                    need(&mut args, "--inject-disk-fault")?.parse()?;
-                fcc::serve::fsio::inject(fault);
+                opts.disk_fault = Some(need(&mut args, "--inject-disk-fault")?.parse()?)
             }
             "--help" | "-h" => {
                 println!("{}", usage());
@@ -1162,19 +1154,15 @@ fn bench_serve_main(args: Vec<String>) -> Result<bool, String> {
 }
 
 fn real_main(raw: Vec<String>) -> Result<(), String> {
-    let o = parse_args(raw)?;
+    let mut o = parse_args(raw)?;
+    // Everything this invocation compiles runs under the requested faults.
+    let faults = std::mem::take(&mut o.faults);
+    with_faults(&faults, || build_main(o))
+}
+
+fn build_main(o: Options) -> Result<(), String> {
     if !matches!(o.format.as_str(), "text" | "json") {
         return Err(format!("--format must be text or json, got {}", o.format));
-    }
-    // Arm any requested fault injections before anything compiles.
-    if o.inject_panic.is_some() {
-        fcc::opt::fault::inject_panic_in(o.inject_panic.as_deref());
-    }
-    if o.inject_spin {
-        fcc::opt::fault::inject_solver_spin(true);
-    }
-    if o.inject_violation.is_some() {
-        fcc::opt::fault::inject_verifier_violation_after(o.inject_violation.as_deref());
     }
     let src = load_source(&o.input)?;
     let module = fcc::frontend::compile_module(&src)?;

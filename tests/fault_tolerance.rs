@@ -3,9 +3,9 @@
 //! unified `CompileRequest` entry point (`fail_mode` selects the
 //! abort/skip/degrade behaviour that used to take three functions).
 //!
-//! The fault-injection switches are process-global, so every test takes
-//! `arm()` — a mutex guard that clears all injections when it drops,
-//! even on assertion failure — and the tests serialize on it.
+//! Each test arms its faults with `with_faults`, which scopes them to
+//! the calling thread and the pool workers it spawns, so the tests run
+//! concurrently without coordinating.
 
 use fcc::alias::MemorySolution;
 use fcc::analysis::AnalysisManager;
@@ -18,26 +18,32 @@ use fcc::driver::{
 use fcc::ir::verify::verify_function;
 use fcc::ir::Module;
 use fcc::lint::{lint_function, LintStage};
+use fcc::opt::fault::{with_faults, FaultPlan};
 use fcc::opt::standard_pipeline;
 use fcc::ssa::{build_ssa_with, SsaFlavor};
 use fcc::workloads::{compile_kernel, kernels};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
-static INJECTION_LOCK: Mutex<()> = Mutex::new(());
-
-struct Armed(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl Drop for Armed {
-    fn drop(&mut self) {
-        fcc::opt::fault::clear_injections();
+fn panic_in(pass: &str) -> FaultPlan {
+    FaultPlan {
+        panic_in: Some(pass.into()),
+        ..FaultPlan::default()
     }
 }
 
-/// Serialize on the injection registry and start from a clean slate.
-fn arm() -> Armed {
-    let guard = INJECTION_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    fcc::opt::fault::clear_injections();
-    Armed(guard)
+fn solver_spin() -> FaultPlan {
+    FaultPlan {
+        solver_spin: true,
+        ..FaultPlan::default()
+    }
+}
+
+fn violate_after(pass: &str) -> FaultPlan {
+    FaultPlan {
+        violate_after: Some(pass.into()),
+        ..FaultPlan::default()
+    }
 }
 
 /// A small batch: the first few paper kernels as one module.
@@ -48,13 +54,14 @@ fn module() -> Module {
 
 #[test]
 fn injected_panic_recovers_to_standard_at_every_jobs_width() {
-    let _armed = arm();
-    fcc::opt::fault::inject_panic_in(Some("coalesce-new"));
     let req = CompileRequest::new().opt(true).fail_mode(FailMode::Degrade);
 
     let mut rendered = Vec::new();
     for jobs in [1, 2, 8] {
-        let batch = compile_module(module(), &req.clone().jobs(jobs)).expect("valid request");
+        let batch = with_faults(&panic_in("coalesce-new"), || {
+            compile_module(module(), &req.clone().jobs(jobs))
+        })
+        .expect("valid request");
         let (ok, recovered, failed) = batch.counts();
         assert_eq!((ok, failed), (0, 0), "jobs={jobs}");
         assert_eq!(recovered, batch.functions.len(), "jobs={jobs}");
@@ -80,7 +87,6 @@ fn injected_panic_recovers_to_standard_at_every_jobs_width() {
 
     // And the recovered module is byte-identical to an honest compile on
     // the rung the ladder landed on (standard, verify forced).
-    fcc::opt::fault::clear_injections();
     let standard = CompileRequest::new()
         .pipeline(PipelineSpec::Standard)
         .opt(true)
@@ -99,15 +105,13 @@ fn injected_panic_recovers_to_standard_at_every_jobs_width() {
 
 #[test]
 fn solver_spin_trips_fuel_exhaustion_naming_the_pass() {
-    let _armed = arm();
-    fcc::opt::fault::inject_solver_spin(true);
     let req = CompileRequest::new()
         .opt(true)
         .fail_mode(FailMode::Degrade)
         .fuel(Some(200_000));
 
     let func = compile_kernel(&kernels()[0]);
-    let report = compile_function_report(&func, &req);
+    let report = with_faults(&solver_spin(), || compile_function_report(&func, &req));
 
     // Rung 0 (new) and rung 1 (standard, verify forced — its lint also
     // runs the solver) both burn their budget inside the spinning solver;
@@ -130,15 +134,15 @@ fn solver_spin_trips_fuel_exhaustion_naming_the_pass() {
 
 #[test]
 fn verifier_violation_after_pass_is_rejected_and_recovers() {
-    let _armed = arm();
-    fcc::opt::fault::inject_verifier_violation_after(Some("range-fold"));
     let req = CompileRequest::new()
         .opt(true)
         .verify_each(true)
         .fail_mode(FailMode::Degrade);
 
     let func = compile_kernel(&kernels()[1]);
-    let report = compile_function_report(&func, &req);
+    let report = with_faults(&violate_after("range-fold"), || {
+        compile_function_report(&func, &req)
+    });
 
     // Both optimising rungs run range-fold, get corrupted after it, and
     // are rejected by --verify-each; the bare rung runs no passes.
@@ -159,13 +163,11 @@ fn injected_violation_is_never_masked_by_a_cached_fixpoint() {
     // function; the injection then corrupts the IR. The corruption must
     // drop the cached fixpoint, so that even a linter handed the shared
     // manager, rather than a fresh one, sees the broken function.
-    let _armed = arm();
-    fcc::opt::fault::inject_verifier_violation_after(Some("range-fold"));
     let mut func = compile_kernel(&kernels()[0]);
     let mut am = AnalysisManager::new();
     build_ssa_with(&mut func, SsaFlavor::Pruned, true, &mut am);
-    let err = standard_pipeline()
-        .run_with(&mut func, &mut am, |f, am, b| {
+    let err = with_faults(&violate_after("range-fold"), || {
+        standard_pipeline().run_with(&mut func, &mut am, |f, am, b| {
             if b.pass != "range-fold" {
                 return Ok(());
             }
@@ -178,15 +180,17 @@ fn injected_violation_is_never_masked_by_a_cached_fixpoint() {
                 Ok(())
             }
         })
-        .expect_err("the corrupted function fails the lint suite");
+    })
+    .expect_err("the corrupted function fails the lint suite");
     assert_eq!((err.pass, err.round), ("range-fold", 1));
 }
 
 #[test]
 fn abort_mode_names_the_offending_function_and_pass() {
-    let _armed = arm();
-    fcc::opt::fault::inject_panic_in(Some("coalesce-new"));
-    let batch = compile_module(module(), &CompileRequest::new().jobs(2)).expect("request is valid");
+    let batch = with_faults(&panic_in("coalesce-new"), || {
+        compile_module(module(), &CompileRequest::new().jobs(2))
+    })
+    .expect("request is valid");
     let err = batch
         .into_module_outcome()
         .expect_err("abort surfaces the panic");
@@ -197,13 +201,14 @@ fn abort_mode_names_the_offending_function_and_pass() {
 
 #[test]
 fn skip_mode_quarantines_deterministically() {
-    let _armed = arm();
-    fcc::opt::fault::inject_panic_in(Some("coalesce-new"));
     let req = CompileRequest::new().fail_mode(FailMode::Skip);
 
     let mut outputs = Vec::new();
     for jobs in [1, 4] {
-        let batch = compile_module(module(), &req.clone().jobs(jobs)).expect("valid request");
+        let batch = with_faults(&panic_in("coalesce-new"), || {
+            compile_module(module(), &req.clone().jobs(jobs))
+        })
+        .expect("valid request");
         assert!(batch.functions.iter().all(|f| f.status == FnStatus::Failed));
         assert_eq!(batch.failed_names().len(), batch.functions.len());
         assert!(batch.first_error().is_some());
@@ -216,8 +221,6 @@ fn skip_mode_quarantines_deterministically() {
 
 #[test]
 fn fuzz_reports_fuel_exhaustion_as_a_shrinkable_failure_class() {
-    let _armed = arm();
-    fcc::opt::fault::inject_solver_spin(true);
     let cfg = FuzzConfig {
         seeds: 4,
         jobs: 1,
@@ -226,16 +229,79 @@ fn fuzz_reports_fuel_exhaustion_as_a_shrinkable_failure_class() {
         shrink_budget: 200,
         ..Default::default()
     };
-    let out = fuzz(&cfg);
-    // Seeds whose reference run completes must all hit the spinning
-    // solver and be classified as fuel exhaustion, not miscompiles.
-    assert!(!out.failures.is_empty(), "spin injection must surface");
-    for f in &out.failures {
-        assert_eq!(failure_class(&f.detail), "fuel", "{}", f.detail);
-        assert!(f.detail.contains("range-fold"), "{}", f.detail);
-        // The shrunk repro still fails, in the same class.
-        let err = fcc::driver::check_program_with(&f.shrunk, true, Some(50_000))
-            .expect_err("shrunk repro reproduces");
-        assert_eq!(failure_class(&err), "fuel", "{err}");
-    }
+    with_faults(&solver_spin(), || {
+        let out = fuzz(&cfg);
+        // Seeds whose reference run completes must all hit the spinning
+        // solver and be classified as fuel exhaustion, not miscompiles.
+        assert!(!out.failures.is_empty(), "spin injection must surface");
+        for f in &out.failures {
+            assert_eq!(failure_class(&f.detail), "fuel", "{}", f.detail);
+            assert!(f.detail.contains("range-fold"), "{}", f.detail);
+            // The shrunk repro still fails, in the same class.
+            let err = fcc::driver::check_program_with(&f.shrunk, true, Some(50_000))
+                .expect_err("shrunk repro reproduces");
+            assert_eq!(failure_class(&err), "fuel", "{err}");
+        }
+    });
+}
+
+#[test]
+fn a_faulted_compile_never_reaches_a_concurrent_clean_one() {
+    // One thread keeps compiling under an injected panic while another
+    // compiles the same module with no faults 20 times, both on pool
+    // workers. Every faulted batch recovers every function; every clean
+    // batch is untouched.
+    let reference = compile_module(module(), &CompileRequest::new().opt(true).jobs(1))
+        .expect("valid request")
+        .into_module_outcome()
+        .expect("a clean compile succeeds")
+        .into_module()
+        .to_string();
+    let armed = Barrier::new(2);
+    let clean_done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let faulted = scope.spawn(|| {
+            let req = CompileRequest::new()
+                .opt(true)
+                .fail_mode(FailMode::Degrade)
+                .jobs(4);
+            with_faults(&panic_in("coalesce-new"), || {
+                armed.wait();
+                loop {
+                    let batch = compile_module(module(), &req).expect("valid request");
+                    for f in &batch.functions {
+                        assert_eq!(f.status, FnStatus::Recovered { attempts: 2 }, "@{}", f.name);
+                    }
+                    if clean_done.load(Ordering::SeqCst) {
+                        break;
+                    }
+                }
+            });
+        });
+        // Stop the faulted thread even if a clean run fails an assertion.
+        struct Done<'a>(&'a AtomicBool);
+        impl Drop for Done<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let done = Done(&clean_done);
+        armed.wait();
+        for run in 0..20 {
+            let batch = compile_module(module(), &CompileRequest::new().opt(true).jobs(2))
+                .expect("valid request");
+            assert!(
+                batch.functions.iter().all(|f| f.status == FnStatus::Ok),
+                "run {run}: a clean compile saw another thread's fault"
+            );
+            let out = batch
+                .into_module_outcome()
+                .expect("no failures")
+                .into_module()
+                .to_string();
+            assert_eq!(out, reference, "run {run}");
+        }
+        drop(done);
+        faulted.join().unwrap();
+    });
 }

@@ -1,18 +1,15 @@
 //! Shrinker quality: the fuzzer must find a *known* miscompile and
 //! reduce it to a handful of statements.
 //!
-//! `fcc_opt::fault::disable_phi_restore(true)` re-opens a real bug this
+//! `FaultPlan::phi_restore_disabled` re-opens a real bug this
 //! codebase once had (simplify-cfg merging blocks without restoring the
 //! successor's φs to the block head first, so destruction sees φs behind
 //! ordinary instructions). The differential oracle must flag seeds, and
 //! the greedy AST shrinker must converge to ≤ 10 statements within a
 //! fixed budget.
-//!
-//! The fault toggle is process-global, so the off/on phases run inside
-//! one `#[test]` — integration-test binaries are separate processes, but
-//! tests inside one binary are not.
 
 use fcc::driver::{check_program, fuzz, FuzzConfig};
+use fcc::opt::fault::{with_faults, FaultPlan};
 use fcc::workloads::statement_count;
 
 #[test]
@@ -37,8 +34,11 @@ fn injected_phi_ordering_bug_is_found_and_shrunk_small() {
     );
 
     // Re-open the bug; the same seed range must now produce findings.
-    fcc::opt::fault::disable_phi_restore(true);
-    let out = fuzz(&cfg);
+    let bug = FaultPlan {
+        phi_restore_disabled: true,
+        ..FaultPlan::default()
+    };
+    let out = with_faults(&bug, || fuzz(&cfg));
     assert!(
         !out.failures.is_empty(),
         "the injected miscompile went undetected over {} seeds",
@@ -65,12 +65,11 @@ fn injected_phi_ordering_bug_is_found_and_shrunk_small() {
         );
         // The repro still fails while the fault is open ...
         assert!(
-            check_program(&f.shrunk, true).is_err(),
+            with_faults(&bug, || check_program(&f.shrunk, true)).is_err(),
             "seed {}: shrunk repro no longer reproduces",
             f.seed
         );
     }
-    fcc::opt::fault::disable_phi_restore(false);
 
     // ... and every repro is healed by restoring the fix: the failure
     // really was the injected bug, not shrinker damage.

@@ -9,33 +9,11 @@
 //! quarantined, writes skipped); they may never change a byte of a
 //! response.
 //!
-//! The disk-fault switch is process-global, so every test that arms it
-//! serializes on a mutex and disarms on drop (cargo runs separate test
-//! binaries one after another, so cross-binary races cannot happen).
+//! A disk fault belongs to one daemon's store (`ServeOptions::disk_fault`),
+//! so the tests run concurrently without coordinating.
 
-use fcc::serve::fsio;
 use fcc::serve::{serve_loop, serve_socket, Daemon, DiskFault, ServeOptions};
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard};
-
-static INJECTION_LOCK: Mutex<()> = Mutex::new(());
-
-struct Armed(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl Drop for Armed {
-    fn drop(&mut self) {
-        fsio::clear();
-    }
-}
-
-fn arm(fault: Option<DiskFault>) -> Armed {
-    let guard = INJECTION_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    fsio::clear();
-    if let Some(f) = fault {
-        fsio::inject(f);
-    }
-    Armed(guard)
-}
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fcc-durable-{tag}-{}", std::process::id()));
@@ -67,9 +45,10 @@ fn compile_line(source: &str, jobs: usize) -> String {
     )
 }
 
-fn opts_with_dir(dir: &Path) -> ServeOptions {
+fn opts_with_dir(dir: &Path, disk_fault: Option<DiskFault>) -> ServeOptions {
     ServeOptions {
         cache_dir: Some(dir.to_path_buf()),
+        disk_fault,
         ..ServeOptions::default()
     }
 }
@@ -89,10 +68,8 @@ fn cold_warm(opts: ServeOptions, jobs: usize) -> (String, String) {
 fn every_fault_cell_replays_byte_identical_responses() {
     // The reference bytes come from a memory-only daemon: what the
     // service says when no disk exists at all.
-    let _g = arm(None);
     let (reference, reference_warm) = cold_warm(ServeOptions::default(), 1);
     assert_eq!(reference, reference_warm);
-    drop(_g);
 
     let mut faults: Vec<Option<DiskFault>> = vec![None];
     faults.extend(DiskFault::ALL.into_iter().map(Some));
@@ -102,9 +79,8 @@ fn every_fault_cell_replays_byte_identical_responses() {
                 "matrix-{}-{jobs}",
                 fault.map(DiskFault::label).unwrap_or("clean")
             ));
-            let _g = arm(fault);
             // Cold then warm under the fault.
-            let (cold, warm) = cold_warm(opts_with_dir(&dir), jobs);
+            let (cold, warm) = cold_warm(opts_with_dir(&dir, fault), jobs);
             assert_eq!(
                 cold, reference,
                 "fault={fault:?} jobs={jobs}: cold response drifted"
@@ -117,7 +93,7 @@ fn every_fault_cell_replays_byte_identical_responses() {
             // daemon must answer identically — serving from disk when
             // entries validate, recompiling when they were quarantined
             // or never written.
-            let (revived, revived_warm) = cold_warm(opts_with_dir(&dir), jobs);
+            let (revived, revived_warm) = cold_warm(opts_with_dir(&dir, fault), jobs);
             assert_eq!(
                 revived, reference,
                 "fault={fault:?} jobs={jobs}: post-restart response drifted"
@@ -135,13 +111,11 @@ fn a_torn_write_crash_is_quarantined_on_restart_and_recompiled() {
         // Every store "crashes" mid-write: files are renamed into place
         // with half their payload missing — the worst case atomic
         // rename cannot prevent.
-        let _g = arm(Some(DiskFault::TornWrite));
-        let (cold, warm) = cold_warm(opts_with_dir(&dir), 1);
+        let (cold, warm) = cold_warm(opts_with_dir(&dir, Some(DiskFault::TornWrite)), 1);
         assert_eq!(cold, warm);
     }
     {
-        let _g = arm(None);
-        let mut d = Daemon::new(opts_with_dir(&dir)).expect("restart");
+        let mut d = Daemon::new(opts_with_dir(&dir, None)).expect("restart");
         let (stats, _) = d.handle_line(r#"{"v":1,"verb":"stats"}"#);
         let doc = parse(&stats);
         let disk = doc.get("disk").unwrap();
@@ -174,14 +148,13 @@ fn a_torn_write_crash_is_quarantined_on_restart_and_recompiled() {
 #[test]
 fn a_clean_restart_warms_entirely_from_disk() {
     let dir = tmpdir("warm-restart");
-    let _g = arm(None);
     {
-        let (cold, warm) = cold_warm(opts_with_dir(&dir), 1);
+        let (cold, warm) = cold_warm(opts_with_dir(&dir, None), 1);
         assert_eq!(cold, warm);
     }
     // "Restart": a fresh daemon over the same directory. The resubmit
     // must be answered entirely from the warmed cache.
-    let mut d = Daemon::new(opts_with_dir(&dir)).expect("restart");
+    let mut d = Daemon::new(opts_with_dir(&dir, None)).expect("restart");
     let line = compile_line(&module_src(), 1);
     let (resp, _) = d.handle_line(&line);
     let clean = Daemon::new(ServeOptions::default())
@@ -209,8 +182,8 @@ fn a_clean_restart_warms_entirely_from_disk() {
 #[test]
 fn enospc_degrades_to_memory_only_without_wrong_answers() {
     let dir = tmpdir("enospc");
-    let _g = arm(Some(DiskFault::Enospc));
-    let mut d = Daemon::new(opts_with_dir(&dir)).expect("open survives a full disk");
+    let mut d = Daemon::new(opts_with_dir(&dir, Some(DiskFault::Enospc)))
+        .expect("open survives a full disk");
     let line = compile_line(&module_src(), 1);
     let (cold, _) = d.handle_line(&line);
     let (warm, _) = d.handle_line(&line);
@@ -226,7 +199,6 @@ fn enospc_degrades_to_memory_only_without_wrong_answers() {
 
 #[test]
 fn socket_and_stdio_transports_answer_byte_identically() {
-    let _g = arm(None);
     let src = module_src();
     let requests = [
         compile_line(&src, 1),

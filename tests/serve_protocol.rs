@@ -2,15 +2,10 @@
 //! machine driven through the exact production byte path
 //! (`Daemon::handle_line` / `serve_loop`), covering the error taxonomy,
 //! cache determinism, fault degradation, and eviction.
-//!
-//! The fault-injection switches are process-global, so the test that
-//! arms them serializes on a mutex and clears them on drop (cargo runs
-//! separate test binaries one after another, so cross-binary races
-//! cannot happen).
 
+use fcc::opt::fault::{with_faults, FaultPlan};
 use fcc::serve::{serve_loop, Daemon, ServeOptions, PROTOCOL_VERSION};
 use fcc::workloads::{generate, GenConfig};
-use std::sync::{Mutex, MutexGuard};
 
 fn daemon() -> Daemon {
     Daemon::new(ServeOptions::default()).expect("memory-only daemon")
@@ -172,31 +167,18 @@ fn editing_one_function_recompiles_only_that_function() {
     assert_eq!(cache.get("misses").unwrap().as_u64(), Some(1));
 }
 
-static INJECTION_LOCK: Mutex<()> = Mutex::new(());
-
-struct Armed(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl Drop for Armed {
-    fn drop(&mut self) {
-        fcc::opt::fault::clear_injections();
-    }
-}
-
-fn arm() -> Armed {
-    let guard = INJECTION_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    fcc::opt::fault::clear_injections();
-    Armed(guard)
-}
-
 #[test]
 fn injected_panic_degrades_per_fail_mode_without_killing_the_daemon() {
-    let _armed = arm();
-    fcc::opt::fault::inject_panic_in(Some("coalesce-new"));
+    let plan = FaultPlan {
+        panic_in: Some("coalesce-new".into()),
+        ..FaultPlan::default()
+    };
     let mut d = daemon();
     let src = "fn f(x) { return x + 1; }\nfn g(y) { return y * 2; }";
+    let mut faulted = |line: &str| with_faults(&plan, || d.handle_line(line));
 
     // abort (the default): 500, daemon alive.
-    let (resp, stop) = d.handle_line(&compile_line(src, ""));
+    let (resp, stop) = faulted(&compile_line(src, ""));
     assert!(!stop);
     let doc = parse(&resp);
     let err = doc.get("error").unwrap();
@@ -210,7 +192,7 @@ fn injected_panic_degrades_per_fail_mode_without_killing_the_daemon() {
         .contains("coalesce-new"));
 
     // skip: quarantines both, succeeds with an empty surviving module.
-    let (resp, _) = d.handle_line(&compile_line(src, ",\"request\":{\"fail_mode\":\"skip\"}"));
+    let (resp, _) = faulted(&compile_line(src, ",\"request\":{\"fail_mode\":\"skip\"}"));
     let doc = parse(&resp);
     assert_eq!(doc.get("ok").unwrap().as_bool(), Some(true));
     let counts = doc.get("counts").unwrap();
@@ -218,7 +200,7 @@ fn injected_panic_degrades_per_fail_mode_without_killing_the_daemon() {
     assert_eq!(doc.get("output").unwrap().as_str(), Some(""));
 
     // degrade: both functions recover on the standard rung.
-    let (resp, _) = d.handle_line(&compile_line(
+    let (resp, _) = faulted(&compile_line(
         src,
         ",\"request\":{\"fail_mode\":\"degrade\"}",
     ));
@@ -238,7 +220,6 @@ fn injected_panic_degrades_per_fail_mode_without_killing_the_daemon() {
     assert!(doc.get("output").unwrap().as_str().unwrap().contains("@f"));
 
     // The daemon survives it all and still answers.
-    fcc::opt::fault::clear_injections();
     let (resp, _) = d.handle_line(r#"{"v":1,"verb":"ping"}"#);
     assert_eq!(parse(&resp).get("ok").unwrap().as_bool(), Some(true));
 }
